@@ -27,7 +27,6 @@ from symnorm.gfp import PrimeField, is_prime
 from symnorm.perm import (
     PermGroup,
     Permutation,
-    StabChain,
     normal_closure,
     orbits_of,
     restrict_to,
@@ -123,7 +122,6 @@ def _two_part_complement(H: PermGroup, rotations: PermGroup, patterns):
 
 def _odd_exponent(rotations: PermGroup) -> int:
     # every orbit cycle has the same prime length
-    sup = rotations.support()
     g = rotations.generators[0]
     for cyc in g.cycles():
         return len(cyc)

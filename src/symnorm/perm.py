@@ -384,14 +384,15 @@ class StabChain:
     stabiliser queries); further base points are the smallest moved points
     of the residues that need them.  Transversal representatives are fixed
     once discovered, so verified Schreier generators stay verified and the
-    construction never repeats work.
+    construction never repeats work; extend() grows a built chain by one
+    generator on the same terms.
     """
 
     def __init__(self, degree: int, generators, base_prefix=()):
         self.degree = degree
         self.base: list[int] = []
         self._levels: list[_Level] = []
-        self._known: set[tuple[int, ...]] = set()
+        self._known: set[Permutation] = set()
         self._ident = Permutation.identity(degree)
         for b in base_prefix:
             self._append_base_point(b)
@@ -399,6 +400,13 @@ class StabChain:
             if g.degree != degree:
                 raise ValueError("generator degree mismatch")
             self._place(g)
+        self._build()
+
+    def extend(self, g: Permutation):
+        """Add g to the generators, keeping every check already made."""
+        if g.degree != self.degree:
+            raise ValueError("generator degree mismatch")
+        self._place(g)
         self._build()
 
     # -- plumbing ------------------------------------------------------
@@ -409,11 +417,11 @@ class StabChain:
 
     def _place(self, g: Permutation) -> int:
         """Record g as a strong generator; returns the deepest level it joins."""
-        if g.is_identity() or g.images in self._known:
+        if g.is_identity() or g in self._known:
             return -1
-        self._known.add(g.images)
+        self._known.add(g)
         depth = 0
-        while depth < len(self.base) and g.images[self.base[depth] - 1] == self.base[depth]:
+        while depth < len(self.base) and g.image(self.base[depth]) == self.base[depth]:
             depth += 1
         if depth == len(self.base):
             self._append_base_point(g.support()[0])
@@ -435,7 +443,7 @@ class StabChain:
             pos += 1
             u = lvl.transversal[pt]
             for g in lvl.gens:
-                im = g.images[pt - 1]
+                im = g.image(pt)
                 if im not in lvl.transversal:
                     rep = u * g
                     lvl.transversal[im] = rep
@@ -449,7 +457,7 @@ class StabChain:
         for i in range(start, len(self._levels)):
             self._extend_orbit(i)
             lvl = self._levels[i]
-            im = h.images[lvl.beta - 1]
+            im = h.image(lvl.beta)
             if im not in lvl.transversal:
                 return h, i
             h = h * lvl.transversal_inv[im]
@@ -466,7 +474,7 @@ class StabChain:
                 for gi, g in enumerate(lvl.gens):
                     if (pt, gi) in lvl.checked:
                         continue
-                    im = g.images[pt - 1]
+                    im = g.image(pt)
                     schreier = u * g * lvl.transversal_inv[im]
                     h, j = self._sift(schreier, i + 1)
                     if h.is_identity():
@@ -592,18 +600,18 @@ class PermGroup:
 def normal_closure(group_gens, subset_gens, degree: int) -> PermGroup:
     """Normal closure of <subset_gens> under the group <group_gens>."""
     closure = [g for g in subset_gens if not g.is_identity()]
-    grp = PermGroup.from_gens(degree, closure)
+    chain = StabChain(degree, closure)
     frontier = list(closure)
     while frontier:
         work, frontier = frontier, []
         for h in work:
             for g in group_gens:
                 c = h.conj(g)
-                if not grp.contains(c):
+                if not chain.contains(c):
                     closure.append(c)
-                    grp = PermGroup.from_gens(degree, closure)
+                    chain.extend(c)
                     frontier.append(c)
-    return grp
+    return PermGroup.from_gens(degree, closure)
 
 
 # ---------------------------------------------------------------------------

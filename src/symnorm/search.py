@@ -17,6 +17,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from itertools import product
+from math import factorial, prod
 
 from symnorm.canon import kappa_feasible
 from symnorm.encode import (
@@ -85,40 +86,24 @@ class FoundGroup:
     def __init__(self, inst: InPInstance):
         self.inst = inst
         self.gens: list[Permutation] = []
-        self._chain: StabChain | None = None
-        self._index_gens: list[Permutation] = []
-        self._index_chain: StabChain | None = None
+        self.chain = StabChain(inst.degree, ())
+        self.index_chain = StabChain(
+            inst.k, (), base_prefix=tuple(range(1, inst.k + 1))
+        )
 
     def add(self, g: Permutation) -> bool:
-        if g.is_identity():
-            return False
-        if self.chain().contains(g):
+        if g.is_identity() or self.chain.contains(g):
             return False
         self.gens.append(g)
-        self._index_gens.append(orbit_action(self.inst, g))
-        self._chain = None
-        self._index_chain = None
+        self.chain.extend(g)
+        self.index_chain.extend(orbit_action(self.inst, g))
         return True
 
-    def chain(self) -> StabChain:
-        if self._chain is None:
-            self._chain = StabChain(self.inst.degree, self.gens)
-        return self._chain
-
-    def index_chain(self) -> StabChain:
-        if self._index_chain is None:
-            self._index_chain = StabChain(
-                self.inst.k,
-                self._index_gens,
-                base_prefix=tuple(range(1, self.inst.k + 1)),
-            )
-        return self._index_chain
-
     def index_orbit(self, prefix_len: int, pt: int) -> set[int]:
-        return self.index_chain().orbit_under_stabilizer(prefix_len, pt)
+        return self.index_chain.orbit_under_stabilizer(prefix_len, pt)
 
     def order(self) -> int:
-        return self.chain().order()
+        return self.chain.order()
 
 
 # ---------------------------------------------------------------------------
@@ -462,9 +447,8 @@ class _Search:
         self._recurse((), doms, inst.matrix, inst.dual)
 
         gens = tuple(self.found.gens)
-        order = self.found.order() if gens else 1
-        self.stats["time_ms"] = int((time.monotonic() - t0) * 1000)
-        return NormalizerResult(gens, order, dict(self.stats), self.method)
+        self.stats["search_ms"] = int((time.monotonic() - t0) * 1000)
+        return NormalizerResult(gens, self.found.order(), dict(self.stats), self.method)
 
     def _recurse(self, alpha, doms, im_stab, im_stab_dual):
         self._tick()
@@ -686,7 +670,9 @@ def _search_with_dual_swap(
 ) -> NormalizerResult:
     """Run the search on the instance, or on its dual when that has lower
     dimension, mapping dual normalisers back by inverting the orbit-fixing
-    part."""
+    part.  The order carries over: (D, pi) -> (D^-1, pi) is an isomorphism
+    from the monomial automorphisms of the dual onto those of the code,
+    and both normalisers have order p^k times that group's order."""
     runner = full_search if method == "full" else limit_depth_search
     if not _dual_swappable(inst, method):
         return runner(inst, cfg, domain_restrict=domain_restrict)
@@ -711,7 +697,7 @@ def _search_with_dual_swap(
     grp = PermGroup.from_gens(inst.degree, gens)
     stats = dict(sub.stats)
     stats["dual_swapped"] = 1
-    return NormalizerResult(grp.generators, grp.order(), stats, sub.method)
+    return NormalizerResult(grp.generators, sub.order, stats, sub.method)
 
 
 def normalizer_in_sym(
@@ -723,6 +709,13 @@ def normalizer_in_sym(
     orbit per class (against the dual code when that is smaller), and the
     result is assembled from the embedded search output and the
     centraliser.  Every returned generator is verified by conjugation.
+
+    The order comes from a closed form, not a chain over the result:
+    |N| = |N_red| * p^(k - k_red) * prod(m_i!), where N_red is the
+    normaliser found on the k_red class representatives (already limited to
+    moves that keep class sizes) and m_i are the class sizes.  The other
+    copies in a class follow their representative, so each adds only its
+    own cycle, and the copies of a class may be permuted freely.
     """
     if method not in ("full", "limitdepth"):
         raise ValueError(f"unknown method {method!r}")
@@ -749,6 +742,11 @@ def normalizer_in_sym(
     else:
         gens = [red.theta(g) for g in sub.generators]
         gens.extend(red.centralizer_gens)
+    order = (
+        sub.order
+        * p ** (red.instance.k - inst1.k)
+        * prod(factorial(m) for m in red.rep_orbit_class_size.values())
+    )
 
     group = PermGroup.from_gens(H.degree, gens)
     hcheck = H.chain()
@@ -758,4 +756,4 @@ def normalizer_in_sym(
                 raise AssertionError("result generator fails to normalise the input")
     stats = dict(sub.stats)
     stats["verified_generators"] = len(group.generators)
-    return NormalizerResult(group.generators, group.order(), stats, method)
+    return NormalizerResult(group.generators, order, stats, method)

@@ -224,6 +224,78 @@ class TestStabChain:
         assert grp.order() == math.factorial(30)
 
 
+def sympy_perm(g):
+    comb = pytest.importorskip("sympy.combinatorics")
+    return comb.Permutation([x - 1 for x in g.images])
+
+
+def sympy_group(gens):
+    comb = pytest.importorskip("sympy.combinatorics")
+    return comb.PermutationGroup([sympy_perm(g) for g in gens])
+
+
+def scattered_gens(rng, degree, ngens):
+    """Single cycles of length 2-5 on an 8-point support that always holds
+    the last point, so degrees above 256 move points past the byte range."""
+    support = [degree] + rng.sample(range(1, degree), 7)
+    return [
+        Permutation.from_cycles(degree, [rng.sample(support, rng.randrange(2, 6))])
+        for _ in range(ngens)
+    ]
+
+
+class TestStabChainExtend:
+    """A chain grown one generator at a time answers like a fresh chain and
+    like sympy's Schreier-Sims, on both permutation backings."""
+
+    @staticmethod
+    def check_growth(rng, degree, gens):
+        grown = StabChain(degree, ())
+        assert grown.order() == 1
+        for i, g in enumerate(gens, start=1):
+            grown.extend(g)
+            fresh = StabChain(degree, gens[:i])
+            ref = sympy_group(gens[:i])
+            assert grown.order() == fresh.order() == ref.order()
+            probes = [rng.choice(gens[:i]) * rng.choice(gens) for _ in range(4)]
+            probes += scattered_gens(rng, degree, 4)
+            for h in probes:
+                assert grown.contains(h) == fresh.contains(h) == ref.contains(sympy_perm(h))
+
+    @pytest.mark.parametrize("degree", [9, 256, 257, 300])
+    def test_matches_fresh_chain_and_sympy(self, degree):
+        rng = random.Random(degree)
+        for _ in range(6):
+            self.check_growth(rng, degree, scattered_gens(rng, degree, 4))
+
+    def test_backings(self):
+        assert P(256, (1, 256))._b is not None
+        assert P(257, (1, 257))._b is None
+
+    def test_repeated_and_identity_generators(self):
+        g = P(300, (1, 299, 300))
+        ch = StabChain(300, ())
+        for h in (g, Permutation.identity(300), g, g * g):
+            ch.extend(h)
+        assert ch.order() == 3
+        assert not ch.contains(P(300, (1, 300)))
+
+    def test_base_prefix_orbits(self):
+        gens = [P(5, (1, 2)), P(5, (2, 3, 4)), P(5, (4, 5))]
+        ch = StabChain(5, (), base_prefix=(1, 2, 3, 4, 5))
+        for g in gens:
+            ch.extend(g)
+        fresh = StabChain(5, gens, base_prefix=(1, 2, 3, 4, 5))
+        for d in range(5):
+            for pt in range(d + 1, 6):
+                assert ch.orbit_under_stabilizer(d, pt) == fresh.orbit_under_stabilizer(d, pt)
+        assert ch.order() == 120
+
+    def test_degree_mismatch(self):
+        with pytest.raises(ValueError):
+            StabChain(4, ()).extend(P(5, (1, 2)))
+
+
 class TestNormalClosure:
     def test_a4_in_s4(self):
         s4 = [P(4, (1, 2)), P(4, (1, 2, 3, 4))]

@@ -3,12 +3,14 @@ import random
 
 import pytest
 
+from symnorm.cli import gen_instance
 from symnorm.encode import (
     build_instance,
     code_to_group,
     decompose_bk,
     gamma_inv,
     gamma_map,
+    reduce_equivalent_orbits,
 )
 from symnorm.gfp import FpMatrix, in_row_space, matrix_rank, member_row_space
 from symnorm.oracle import brute_maut, brute_normalizer
@@ -424,3 +426,40 @@ class TestPruningSafety:
                 cfg = SearchConfig(**{name: False})
                 res = full_search(inst, cfg)
                 assert res.order == base.order, name
+
+
+def sympy_order(gens):
+    comb = pytest.importorskip("sympy.combinatorics")
+    return comb.PermutationGroup(
+        [comb.Permutation([x - 1 for x in g.images]) for g in gens]
+    ).order()
+
+
+class TestKnownOrders:
+    """The pipeline takes its orders from closed forms, never from a chain
+    over the result; sympy's Schreier-Sims recomputes them from the
+    returned generators."""
+
+    @pytest.mark.parametrize("p,k,dim", [(2, 10, 3), (3, 10, 2), (5, 8, 2), (7, 9, 2)])
+    def test_equivalent_orbits(self, p, k, dim):
+        for seed in range(6):
+            grp, _ = gen_instance(p, k, dim, seed)
+            assert not reduce_equivalent_orbits(grp, p).identity
+            for method in ("full", "limitdepth"):
+                res = normalizer_in_sym(grp, p, method=method)
+                assert res.order == sympy_order(res.generators)
+
+    @pytest.mark.parametrize("p,k,dim,seed", [(3, 10, 2, 4), (5, 8, 2, 1), (5, 8, 6, 1)])
+    def test_dual_swapped(self, p, k, dim, seed):
+        # the first two also collapse equivalent orbits, the last does not
+        grp, _ = gen_instance(p, k, dim, seed)
+        res = normalizer_in_sym(grp, p)
+        assert res.stats.get("dual_swapped") == 1
+        assert res.order == sympy_order(res.generators)
+        assert normalizer_in_sym(grp, p, method="limitdepth").order == res.order
+
+    def test_degree_above_256(self):
+        grp, _ = gen_instance(7, 37, 3, 0)
+        assert grp.degree == 259
+        res = normalizer_in_sym(grp, 7)
+        assert res.order == sympy_order(res.generators)
