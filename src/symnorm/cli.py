@@ -366,10 +366,6 @@ def main(argv=None) -> int:
     )
     b.add_argument("--json", action="store_true")
 
-    # internal: brute-force fixtures for a code in matrix text format
-    f = sub.add_parser("fixtures")
-    f.add_argument("--matrix", type=str, required=True)
-
     args = parser.parse_args(argv)
     try:
         if args.command == "gen":
@@ -400,20 +396,6 @@ def main(argv=None) -> int:
                 print(json.dumps(slim, indent=2))
             else:
                 print(format_bench_table(table))
-            return 0
-        if args.command == "fixtures":
-            from symnorm.canon import canonical_rep
-            from symnorm.gfp import format_matrix, parse_matrix, rref_standard
-            from symnorm.oracle import brute_maut
-
-            with open(args.matrix) as fh:
-                m = parse_matrix(fh.read())
-            mauts = brute_maut(m)
-            print(f"maut_order {len(mauts)}")
-            std = rref_standard(m)
-            if std.is_standard:
-                print("canonical_rep")
-                print(format_matrix(canonical_rep(std.mstd).rep))
             return 0
     except (NotInClass, BudgetExceeded, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,23 +6,16 @@ be chosen whose restriction to each orbit fixes exactly one point.  The
 normaliser is then assembled from two cyclic-class searches: one for the
 complement acting on a transversal of two-point blocks, one for the
 rotation part with the orbit permutations restricted to those induced by
-the first, with the results lifted through the one scaling-map-per-orbit
-subgroup that both computations share.
+the first.  Each generator of the rotation normaliser is lifted by the one
+per-orbit rotation that sends the fixed points back onto fixed points.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, replace
 
-from symnorm.encode import (
-    InPInstance,
-    NotInClass,
-    build_instance,
-    decompose_bk,
-    exponent_scaling_perm,
-    gamma_map,
-    kappa_element,
-)
+from symnorm.encode import InPInstance, NotInClass, build_instance, gamma_inv
 from symnorm.gfp import PrimeField, is_prime
 from symnorm.perm import (
     PermGroup,
@@ -39,8 +32,9 @@ _COMPLEMENT_RANK_LIMIT = 20  # 2^rank sections are enumerated
 @dataclass(frozen=True, eq=False)
 class DihedralInstance:
     """A recognised orbit-wise dihedral group with its split: rotations,
-    an involution complement, the per-orbit fixed points, and fixed-point
-    aligned orbit bijections."""
+    an involution complement, and per orbit the complement's reflection,
+    the point it fixes and a rotation cycle rooted there.  Orbits are in
+    the order of the rotation part's cyclic-class instance."""
 
     field: PrimeField
     degree: int
@@ -49,9 +43,9 @@ class DihedralInstance:
     rotations: PermGroup  # the odd part, orbit-wise cyclic
     complement: PermGroup  # elementary abelian complement of involutions
     alpha: tuple[int, ...]  # alpha[i] is the point of orbit i fixed by it
-    orbit_gens: tuple[Permutation, ...]
     reflections: tuple[Permutation, ...]  # restriction of the complement per orbit
-    phibars: tuple[Permutation, ...]
+    cycles: tuple[tuple[int, ...], ...]  # cycles[i][0] == alpha[i]
+    rot_inst: InPInstance  # the rotations, in the same orbit order
 
     @property
     def p(self) -> int:
@@ -62,14 +56,14 @@ class DihedralInstance:
         return len(self.orbits)
 
 
-def _two_part_complement(H: PermGroup, rotations: PermGroup, patterns):
+def _two_part_complement(H: PermGroup, patterns, p: int):
     """An elementary abelian 2-complement to the rotation subgroup.
 
     patterns maps chosen generators of H to their reflection pattern over
     the orbits (a vector over F_2); the section through pattern-pivot
     generators is averaged over the pattern group to make it a
     homomorphism, which works because the rotation part is abelian of odd
-    order.  Returns involution generators, one per pivot.
+    exponent p.  Returns involution generators, one per pivot.
     """
     pivots: list[tuple[tuple[int, ...], Permutation]] = []
     for x, vec in patterns.items():
@@ -104,7 +98,6 @@ def _two_part_complement(H: PermGroup, rotations: PermGroup, patterns):
         section[bits] = g
 
     m = 2**rank
-    p = _odd_exponent(rotations)
     lam = pow(m % p, -1, p)
     gens = []
     for i in range(rank):
@@ -120,20 +113,11 @@ def _two_part_complement(H: PermGroup, rotations: PermGroup, patterns):
     return gens
 
 
-def _odd_exponent(rotations: PermGroup) -> int:
-    # every orbit cycle has the same prime length
-    g = rotations.generators[0]
-    for cyc in g.cycles():
-        return len(cyc)
-    raise ValueError("trivial rotation part")
-
-
 def build_dihedral(H: PermGroup, p: int) -> DihedralInstance:
     """Recognise an orbit-wise dihedral group of order 2p per orbit and
     split it into rotations and an involution complement."""
     if not is_prime(p) or p == 2:
         raise NotInClass("the dihedral class needs an odd prime orbit size")
-    fld = PrimeField(p)
     support = H.support()
     if not support:
         raise NotInClass("the trivial group has no dihedral orbits")
@@ -167,16 +151,18 @@ def build_dihedral(H: PermGroup, p: int) -> DihedralInstance:
             else:
                 vec.append(1)
         patterns[x] = tuple(vec)
-    comp_gens = _two_part_complement(H, rotations, patterns)
+    comp_gens = _two_part_complement(H, patterns, p)
     complement = PermGroup.from_gens(H.degree, comp_gens)
     for g in complement.generators:
         if not (g * g).is_identity():
             raise AssertionError("complement generators must be involutions")
 
-    # per-orbit data: reflection, fixed point, aligned bijections
+    # per orbit: reflection, fixed point, and the cycle of the first
+    # rotation generator moving the orbit, rooted at the fixed point
     reflections = []
     alphas = []
-    for orb in orbits:
+    cycles = []
+    for orb in rot_inst.orbits:
         refl = None
         for g in comp_gens:
             r = restrict_to(g, orb)
@@ -189,49 +175,25 @@ def build_dihedral(H: PermGroup, p: int) -> DihedralInstance:
         fixed = [q for q in orb if refl.image(q) == q]
         if len(fixed) != 1:
             raise NotInClass("orbit reflection must fix exactly one point")
+        g0 = next(x for x in rotations.generators if x.image(orb[0]) != orb[0])
+        cyc = [fixed[0]]
+        while len(cyc) < p:
+            cyc.append(g0.image(cyc[-1]))
         reflections.append(refl)
         alphas.append(fixed[0])
-
-    # orbit cycles rooted at the fixed points
-    gens = []
-    cycles = []
-    for i, orb in enumerate(orbits):
-        g0 = None
-        for x in rotations.generators:
-            r = restrict_to(x, orb)
-            if not r.is_identity():
-                g0 = r
-                break
-        assert g0 is not None
-        cyc = [alphas[i]]
-        cur = g0.image(alphas[i])
-        while cur != alphas[i]:
-            cyc.append(cur)
-            cur = g0.image(cur)
-        gens.append(g0)
         cycles.append(tuple(cyc))
 
-    phibars = [Permutation.identity(H.degree)]
-    for i in range(1, len(orbits)):
-        imgs = list(range(1, H.degree + 1))
-        for a, b in zip(cycles[0], cycles[i]):
-            imgs[a - 1] = b
-            imgs[b - 1] = a
-        phibars.append(Permutation(imgs))
-        if gens[0].conj(phibars[i]) != gens[i]:
-            raise AssertionError("orbit bijection must conjugate the base rotation")
-
     return DihedralInstance(
-        field=fld,
+        field=rot_inst.field,
         degree=H.degree,
         group=H,
-        orbits=tuple(orbits),
+        orbits=rot_inst.orbits,
         rotations=rotations,
         complement=complement,
         alpha=tuple(alphas),
-        orbit_gens=tuple(gens),
         reflections=tuple(reflections),
-        phibars=tuple(phibars),
+        cycles=tuple(cycles),
+        rot_inst=rot_inst,
     )
 
 
@@ -242,90 +204,13 @@ def _is_rotation(r: Permutation, orb) -> bool:
 
 
 def _transversal_blocks(inst: DihedralInstance) -> list[tuple[int, int]]:
-    """One nontrivial 2-point block of the complement per orbit: the block
-    of the first orbit containing its minimal non-fixed point, transported
-    along the aligned bijections."""
-    first = inst.orbits[0]
-    start = min(q for q in first if q != inst.alpha[0])
-    blk0 = (start, inst.reflections[0].image(start))
-    blocks = [tuple(sorted(blk0))]
-    for i in range(1, inst.k):
-        phi = inst.phibars[i]
-        blocks.append(tuple(sorted((phi.image(blk0[0]), phi.image(blk0[1])))))
-    return blocks
-
-
-def theta_map(inst: DihedralInstance, g: Permutation, blocks=None) -> Permutation:
-    """Transfer a permutation of the transversal blocks to the product of
-    orbit bijections inducing the same orbit permutation."""
-    if blocks is None:
-        blocks = _transversal_blocks(inst)
-    lookup = {frozenset(b): i for i, b in enumerate(blocks)}
-    imgs = [0] * inst.k
-    for i, blk in enumerate(blocks):
-        target = frozenset(g.image(q) for q in blk)
-        j = lookup.get(target)
-        if j is None:
-            raise ValueError("element does not permute the transversal blocks")
-        imgs[i] = j + 1
-    pi = Permutation(imgs)
-    return kappa_element(_rotation_instance_view(inst), pi)
-
-
-def _rotation_instance_view(inst: DihedralInstance) -> InPInstance:
-    """The rotation part as a cyclic-class instance in the dihedral frame:
-    same orbit order, the fixed-point-rooted cycles, the aligned
-    bijections.  The matrix is informational (its pivots may not lead);
-    only the orbit scaffolding is consumed."""
-    cached = getattr(inst, "_rotation_view", None)
-    if cached is not None:
-        return cached
-    from symnorm.encode import gamma_inv
-    from symnorm.gfp import FpMatrix, dual_matrix, rref_standard, independent_rows
-
-    p, k = inst.p, inst.k
-    cycles = []
-    point_orbit = {}
-    point_exp = {}
-    for i, orb in enumerate(inst.orbits):
-        cyc = [inst.alpha[i]]
-        cur = inst.orbit_gens[i].image(inst.alpha[i])
-        while cur != inst.alpha[i]:
-            cyc.append(cur)
-            cur = inst.orbit_gens[i].image(cur)
-        cycles.append(tuple(cyc))
-        for u, pt in enumerate(cyc):
-            point_orbit[pt] = i
-            point_exp[pt] = u
-
-    view = InPInstance(
-        field=inst.field,
-        degree=inst.degree,
-        orbits=inst.orbits,
-        orbit_gens=inst.orbit_gens,
-        phibars=inst.phibars,
-        matrix=FpMatrix(p, k, ()),
-        dual=FpMatrix(p, k, ()),
-        standard_gens=(),
-        orbit_cycles=tuple(cycles),
-        point_orbit=point_orbit,
-        point_exp=point_exp,
-    )
-    # the view only routes kappa/exponent constructions; gamma vectors of the
-    # rotation generators give it a real matrix for completeness
-    vectors = [gamma_map(view, x) for x in inst.rotations.generators]
-    basis = independent_rows(p, vectors)
-    mat = rref_standard(FpMatrix.from_rows(p, basis, k)).mstd
-    object.__setattr__(view, "matrix", mat)
-    try:
-        object.__setattr__(view, "dual", dual_matrix(mat))
-    except ValueError:
-        pass
-    object.__setattr__(
-        view, "standard_gens", tuple(gamma_inv(view, row) for row in mat.rows)
-    )
-    object.__setattr__(inst, "_rotation_view", view)
-    return view
+    """One nontrivial 2-point block of the complement per orbit, the points
+    at positions u and -u of its cycle: u is the position of the least
+    non-fixed point of the orbit holding the least point."""
+    first = min(range(inst.k), key=lambda i: inst.orbits[i][0])
+    cyc = inst.cycles[first]
+    u = cyc.index(min(cyc[1:]))
+    return [tuple(sorted((c[u], c[-u]))) for c in inst.cycles]
 
 
 def normalizer_dihedral(
@@ -336,14 +221,18 @@ def normalizer_dihedral(
 
     The complement is normalised block-wise on a transversal of two-point
     blocks; the permutations it induces on the orbits bound where the
-    rotation normaliser can move orbits; the two results meet inside the
-    subgroup generated by per-orbit scaling maps rooted at the fixed
-    points, and the final group is that meet together with the group
-    itself.
+    rotation normaliser can move orbits.  Each generator y of the rotation
+    normaliser is lifted to tau = y * prod_j g_j^(r_j), where g_j is the
+    rotation of orbit j and r_j sends the image of a fixed point back to
+    the fixed point alpha_j: the one element of y times the orbit rotations
+    that maps fixed points onto fixed points.  The final group is
+    generated by these lifts together with the group itself.  Both
+    searches share one deadline: the second gets what the first left of
+    cfg.time_limit.
     """
     cfg = cfg or SearchConfig()
-    p, k = inst.p, inst.k
-    fld = inst.field
+    started = time.monotonic()
+    rot = inst.rot_inst
     stats: dict = {}
 
     # normaliser of the complement on the block transversal
@@ -355,66 +244,31 @@ def normalizer_dihedral(
     sub2 = normalizer_in_sym(h2_restricted, 2, method="full", cfg=cfg)
     stats.update({f"blocks_{key}": v for key, v in sub2.stats.items()})
 
-    # orbit permutations induced through the blocks
-    theta_perms = []
+    # rotation normaliser with orbit permutations restricted to those
+    # induced through the blocks
+    lookup = {frozenset(b): i + 1 for i, b in enumerate(blocks)}
+    induced = []
     for g in sub2.generators:
-        lookup = {frozenset(b): i for i, b in enumerate(blocks)}
-        imgs = [0] * k
-        ok = True
-        for i, blk in enumerate(blocks):
-            target = frozenset(g.image(q) for q in blk)
-            j = lookup.get(target)
-            if j is None:
-                ok = False
-                break
-            imgs[i] = j + 1
-        if not ok:
+        imgs = [lookup.get(frozenset(g.image(q) for q in blk)) for blk in blocks]
+        if None in imgs:
             raise AssertionError("block normaliser must permute the blocks")
-        theta_perms.append(Permutation(imgs))
-    theta_group = PermGroup.from_gens(k, theta_perms)
-
-    # rotation normaliser with orbit permutations restricted to the image
-    rot_inst = build_instance(inst.rotations, p)
-    orbit_index = {orb: i for i, orb in enumerate(rot_inst.orbits)}
-    to_rot = [orbit_index[orb] for orb in inst.orbits]  # dihedral idx -> rot idx
-    translated = []
-    for piv in theta_group.generators:
-        imgs = [0] * k
-        for a in range(1, k + 1):
-            di = to_rot.index(a - 1)  # dihedral index (0-based) of rot index a
-            dj = piv.image(di + 1) - 1
-            imgs[a - 1] = to_rot[dj] + 1
-        translated.append(Permutation(imgs))
-    kappa_group = PermGroup.from_gens(k, translated)
-    sub_p = full_search(rot_inst, cfg, kappa_group=kappa_group)
+        induced.append(Permutation(imgs))
+    kappa_group = PermGroup.from_gens(inst.k, induced)
+    if cfg.time_limit is not None:
+        cfg = replace(cfg, time_limit=cfg.time_limit - (time.monotonic() - started))
+    sub_p = full_search(rot, cfg, kappa_group=kappa_group)
     stats.update({f"rotations_{key}": v for key, v in sub_p.stats.items()})
 
-    # lift through the scaling-map subgroup shared by both computations
-    view = _rotation_instance_view(inst)
-    t = fld.t
-    ci = [
-        exponent_scaling_perm(view, i, t, fix_point=inst.alpha[i])
-        for i in range(k)
-    ]
+    # lift each generator by the rotation correction onto the fixed points
     lifted = []
     for y in sub_p.generators:
-        b, kap = decompose_bk(view, y)
-        diag = []
-        for i, g in enumerate(view.orbit_gens):
-            conj = g.conj(b)
-            im = conj.image(view.orbit_cycles[i][0])
-            diag.append(view.point_exp[im])
-        tau = Permutation.identity(inst.degree)
-        for i, d in enumerate(diag):
-            e = fld.log_t(d)
-            if e % (p - 1):
-                tau = tau * ci[i] ** (e % (p - 1))
-        tau = tau * kap
-        lifted.append(tau)
-
-    gens = [g for g in lifted if not g.is_identity()]
-    gens.extend(inst.group.generators)
-    group = PermGroup.from_gens(inst.degree, gens)
+        shift = [0] * inst.k
+        for a in inst.alpha:
+            pt = y.image(a)
+            j = rot.point_orbit[pt]
+            shift[j] = rot.point_exp[inst.alpha[j]] - rot.point_exp[pt]
+        lifted.append(y * gamma_inv(rot, shift))
+    group = PermGroup.from_gens(inst.degree, lifted + list(inst.group.generators))
 
     hchain = inst.group.chain()
     for g in group.generators:

@@ -7,13 +7,13 @@ vector, and row-reduce the images of the generators.  This module
 recognises such groups, builds the full translation (ordered orbits,
 orbit bijections, generator matrix in standard form, dual code), and
 realises the structural maps the search relies on: the monomial action on
-the code, its permutation preimages, per-orbit centralisers, and the
-reduction that collapses equivalent orbits.
+the code, its permutation preimages, the swaps of equivalent orbits, and
+the reduction that collapses equivalent orbits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from symnorm.gfp import (
     FpMatrix,
@@ -22,7 +22,6 @@ from symnorm.gfp import (
     dual_matrix,
     independent_rows,
     matrix_rank,
-    normalized_column,
     rref_standard,
 )
 from symnorm.perm import PermGroup, Permutation, orbits_of, restrict_to
@@ -88,11 +87,6 @@ class MonomialElement:
             out[self.perm.image(i + 1) - 1] = v[i] * self.diag[i] % self.p
         return tuple(out)
 
-    def apply_matrix(self, m: FpMatrix) -> FpMatrix:
-        if m.k != self.k or m.p != self.p:
-            raise ValueError("matrix shape mismatch")
-        return FpMatrix.from_rows(self.p, [self.apply(r) for r in m.rows], self.k)
-
     def is_identity(self) -> bool:
         return all(d == 1 for d in self.diag) and self.perm.is_identity()
 
@@ -137,18 +131,6 @@ class InPInstance:
     @property
     def n(self) -> int:
         return self.p * self.k
-
-    def distinct_columns(self) -> bool:
-        """True when no two orbits are equivalent (columns non-proportional)."""
-        cols = {normalized_column(self.matrix.col(j), self.p) for j in range(1, self.k + 1)}
-        return len(cols) == self.k
-
-    def group(self) -> PermGroup:
-        return PermGroup.from_gens(self.degree, self.standard_gens)
-
-    def orbit_index_of_point(self, pt: int) -> int:
-        """1-based orbit index containing pt."""
-        return self.point_orbit[pt] + 1
 
 
 def _orbit_cycle(g: Permutation, orbit, p: int):
@@ -268,10 +250,9 @@ def build_instance(H: PermGroup, p: int) -> InPInstance:
         point_orbit=point_orbit,
         point_exp=point_exp,
     )
-    object.__setattr__(
-        inst, "standard_gens", tuple(gamma_inv(inst, row) for row in mstd.rows)
+    return replace(
+        inst, standard_gens=tuple(gamma_inv(inst, row) for row in mstd.rows)
     )
-    return inst
 
 
 # ---------------------------------------------------------------------------
@@ -312,20 +293,15 @@ def gamma_inv(inst: InPInstance, v) -> Permutation:
     return Permutation(imgs)
 
 
-def exponent_scaling_perm(inst: InPInstance, i: int, d: int, fix_point: int | None = None) -> Permutation:
-    """The permutation of orbit i fixing one point and raising the cycle to
-    the d-th power: it conjugates the orbit cycle g to g^d.
-
-    fix_point defaults to the orbit's minimal point (the cycle base).
-    """
+def exponent_scaling_perm(inst: InPInstance, i: int, d: int) -> Permutation:
+    """The permutation of orbit i fixing its minimal point (the cycle base)
+    and raising the cycle to the d-th power: it conjugates the orbit cycle
+    g to g^d."""
     p = inst.p
     d %= p
     if d == 0:
         raise ValueError("exponent must be a unit")
     cyc = inst.orbit_cycles[i]
-    if fix_point is not None and fix_point != cyc[0]:
-        off = inst.point_exp[fix_point]
-        cyc = cyc[off:] + cyc[:off]
     imgs = list(range(1, inst.degree + 1))
     for u in range(p):
         imgs[cyc[u] - 1] = cyc[u * d % p]
@@ -439,23 +415,8 @@ def eliminate_column(mat: FpMatrix, col: int) -> FpMatrix:
     return FpMatrix(p, mat.k, tuple(out))
 
 
-def stab_matrix(inst: InPInstance, orbit_indices=(), points=()) -> FpMatrix:
-    """Generator matrix of the exponent image of the pointwise stabiliser.
-
-    Stabilising any point of an orbit stabilises the orbit pointwise
-    (the restriction acts regularly), so points are converted to their
-    orbit indices first.
-    """
-    idxs = list(orbit_indices)
-    idxs += [inst.point_orbit[pt] + 1 for pt in points]
-    work = inst.matrix
-    for idx in idxs:
-        work = eliminate_column(work, idx)
-    return work
-
-
 # ---------------------------------------------------------------------------
-# code -> group and per-orbit centralisers
+# code -> group and equivalent-orbit swaps
 
 
 def code_to_group(m: FpMatrix) -> PermGroup:
@@ -492,19 +453,23 @@ def equiv_orbit_swap(inst: InPInstance, i: int, j: int, a: int) -> Permutation:
     return Permutation(imgs)
 
 
-def centralizer_sym(inst: InPInstance) -> PermGroup:
-    """The centraliser of the instance group in the ambient symmetric group:
-    per-orbit cycles plus exponent-matched swaps of equivalent orbits."""
-    gens = list(inst.orbit_gens)
-    part = column_equiv_classes(inst.matrix)
-    for cell in part.cells:
-        rep = cell[0]
-        lead_rep = next(x for x in inst.matrix.col(rep) if x)
-        for j in cell[1:]:
-            lead_j = next(x for x in inst.matrix.col(j) if x)
-            a = lead_j * pow(lead_rep, inst.p - 2, inst.p) % inst.p
-            gens.append(equiv_orbit_swap(inst, rep, j, a))
-    return PermGroup.from_gens(inst.degree, gens)
+def equivalent_orbit_swaps(
+    inst: InPInstance, mat: FpMatrix
+) -> list[tuple[tuple[int, ...], list[Permutation]]]:
+    """Orbits grouped by their column of mat up to scaling, zero columns
+    forming one class, in order of least orbit index: each class with the
+    swaps exchanging its least orbit with each later one."""
+    p = inst.p
+    out = []
+    for cell in column_equiv_classes(mat, allow_zero=True).cells:
+        lead = [next((x for x in mat.col(j) if x), 1) for j in cell]
+        inv = pow(lead[0], p - 2, p)
+        swaps = [
+            equiv_orbit_swap(inst, cell[0], j, a * inv % p)
+            for j, a in zip(cell[1:], lead[1:])
+        ]
+        out.append((cell, swaps))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -553,23 +518,13 @@ def reduce_equivalent_orbits(H: PermGroup, p: int) -> ReduceResult:
     """Set up the reduction of the normaliser computation to one orbit per
     equivalence class (trivial when orbits are pairwise inequivalent)."""
     inst = build_instance(H, p)
-    part = column_equiv_classes(inst.matrix)
-    classes = [tuple(c) for c in part.cells]
+    orbit_classes = equivalent_orbit_swaps(inst, inst.matrix)
+    classes = [cell for cell, _ in orbit_classes]
     identity = all(len(c) == 1 for c in classes)
-
-    swaps: list[list[Permutation]] = []
-    cent: list[Permutation] = list(inst.orbit_gens)
-    for cell in classes:
-        rep = cell[0]
-        lead_rep = next(x for x in inst.matrix.col(rep) if x)
-        cell_swaps = [Permutation.identity(inst.degree)]
-        for j in cell[1:]:
-            lead_j = next(x for x in inst.matrix.col(j) if x)
-            a = lead_j * pow(lead_rep, p - 2, p) % p
-            sw = equiv_orbit_swap(inst, rep, j, a)
-            cell_swaps.append(sw)
-            cent.append(sw)
-        swaps.append(cell_swaps)
+    ident = Permutation.identity(inst.degree)
+    swaps = [[ident] + cell_swaps for _, cell_swaps in orbit_classes]
+    cent = list(inst.orbit_gens)
+    cent.extend(sw for _, cell_swaps in orbit_classes for sw in cell_swaps)
 
     gamma_pts = tuple(sorted(pt for cell in classes for pt in inst.orbits[cell[0] - 1]))
     restricted = PermGroup.from_gens(
@@ -589,15 +544,3 @@ def reduce_equivalent_orbits(H: PermGroup, p: int) -> ReduceResult:
         rep_orbit_class_size=class_size,
         _theta_data=(classes, swaps, rep_sets),
     )
-
-
-def build_lk(inst: InPInstance) -> tuple[list[Permutation], list[Permutation]]:
-    """Generators of the orbit-exchange part K and the orbit-fixing part B
-    of the overgroup containing every normalising element."""
-    k_gens = list(inst.phibars[1:])
-    b_gens = list(inst.orbit_gens)
-    t = inst.field.t
-    if t != 1:
-        for i in range(inst.k):
-            b_gens.append(exponent_scaling_perm(inst, i, t))
-    return k_gens, b_gens

@@ -88,17 +88,6 @@ class PrimeField:
             n += 1
         return n
 
-    def log_t(self, a: int) -> int:
-        """Discrete log base the primitive element (p is small)."""
-        a %= self.p
-        x, e = 1, 0
-        while e < self.p:
-            if x == a:
-                return e
-            x = x * self.t % self.p
-            e += 1
-        raise ValueError(f"{a} is not a unit mod {self.p}")
-
 
 @dataclass(frozen=True)
 class FpMatrix:
@@ -134,9 +123,6 @@ class FpMatrix:
         """Column j, 1-based."""
         return tuple(r[j - 1] for r in self.rows)
 
-    def columns(self) -> list[tuple[int, ...]]:
-        return [self.col(j) for j in range(1, self.k + 1)]
-
     def is_standard(self) -> bool:
         """First s columns form the identity."""
         if self.s > self.k:
@@ -150,14 +136,6 @@ class FpMatrix:
     def permute_columns(self, new_order: tuple[int, ...]) -> "FpMatrix":
         """Column j of the result is column new_order[j-1] of self (1-based)."""
         rows = tuple(tuple(r[j - 1] for j in new_order) for r in self.rows)
-        return FpMatrix(self.p, self.k, rows)
-
-    def scale_column(self, j: int, a: int) -> "FpMatrix":
-        a %= self.p
-        rows = tuple(
-            tuple(x * a % self.p if i == j - 1 else x for i, x in enumerate(r))
-            for r in self.rows
-        )
         return FpMatrix(self.p, self.k, rows)
 
     def __str__(self) -> str:
@@ -393,21 +371,11 @@ class Partition:
             buckets.setdefault(key, []).append(i)
         return cls.from_cells(len(keys), buckets.values())
 
-    @classmethod
-    def singletons(cls, size: int) -> "Partition":
-        return cls.from_cells(size, [[i] for i in range(1, size + 1)])
-
     def cell_map(self) -> dict[int, tuple[int, ...]]:
         return {x: c for c in self.cells for x in c}
 
     def cell_of(self, i: int) -> tuple[int, ...]:
         return self.cell_map()[i]
-
-    def meet(self, *others: "Partition") -> "Partition":
-        """Common refinement."""
-        maps = [self.cell_map()] + [o.cell_map() for o in others]
-        keys = [tuple(mp[i] for mp in maps) for i in range(1, self.size + 1)]
-        return Partition.from_keys(keys)
 
 
 def normalized_column(col, p: int) -> tuple[int, ...]:
@@ -533,14 +501,6 @@ def prec_key(m: FpMatrix) -> tuple:
     return tuple(tuple(reversed(m.col(j))) for j in range(1, m.k + 1))
 
 
-def prec_compare(a: FpMatrix, a2: FpMatrix) -> int:
-    """-1, 0 or 1 as a precedes, equals or follows a2."""
-    if a.p != a2.p or a.k != a2.k or a.s != a2.s:
-        raise ValueError("dimension mismatch")
-    ka, kb = prec_key(a), prec_key(a2)
-    return -1 if ka < kb else (1 if ka > kb else 0)
-
-
 # ---------------------------------------------------------------------------
 # text exchange format
 
@@ -549,22 +509,3 @@ def format_matrix(m: FpMatrix) -> str:
     lines = [f"{m.p} {m.s} {m.k}"]
     lines += [" ".join(str(x) for x in r) for r in m.rows]
     return "\n".join(lines)
-
-
-def parse_matrix(text: str) -> FpMatrix:
-    lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
-    if not lines:
-        raise ValueError("empty matrix text")
-    try:
-        p, s, k = (int(x) for x in lines[0].split())
-    except ValueError as exc:
-        raise ValueError(f"bad matrix header {lines[0]!r}") from exc
-    if len(lines) != s + 1:
-        raise ValueError(f"expected {s} rows, found {len(lines) - 1}")
-    rows = []
-    for ln in lines[1:]:
-        row = tuple(int(x) for x in ln.split())
-        if len(row) != k:
-            raise ValueError(f"row {ln!r} does not have {k} entries")
-        rows.append(row)
-    return FpMatrix.from_rows(p, rows, k)

@@ -92,12 +92,6 @@ class Permutation:
                 images[a - 1] = cyc[(idx + 1) % len(cyc)]
         return cls(images)
 
-    @classmethod
-    def transposition(cls, n: int, a: int, b: int) -> "Permutation":
-        return cls.from_cycles(n, [(a, b)]) if a != b else cls.identity(n)
-
-    # basic queries ----------------------------------------------------
-
     @property
     def degree(self) -> int:
         return self._n
@@ -216,11 +210,6 @@ class Permutation:
 _CYCLE_RE = re.compile(r"\(\s*([0-9]+(?:[,\s]+[0-9]+)*)?\s*\)")
 
 
-def image_array_string(g: Permutation) -> str:
-    """The image-array form, e.g. "[2 1 4 3]"."""
-    return "[" + " ".join(str(x) for x in g.images) + "]"
-
-
 def parse_permutation(text: str, n: int) -> Permutation:
     """Parse cycle notation like "(1 2)(3 4)" or an image array like
     "[2 1 4 3]"; "()" is the identity."""
@@ -296,59 +285,6 @@ def restrict_to(g: Permutation, delta) -> Permutation:
         if im not in dset:
             raise ValueError(f"{sorted(dset)} is not invariant under {g!r}")
         images[pt - 1] = im
-    return Permutation(images)
-
-
-def conjugacy_witness(x: Permutation, y: Permutation, delta) -> Permutation | None:
-    """A permutation s supported in delta with x^s == y, or None.
-
-    Both x and y must be supported in delta.  Cycles of equal length are
-    matched in order of their minimal point, which fixes the witness
-    deterministically; None means the cycle types over delta differ.
-    """
-    dset = sorted(set(delta))
-    dlookup = set(dset)
-    n = x.degree
-    if y.degree != n:
-        raise ValueError("degree mismatch")
-    for g in (x, y):
-        if any(pt not in dlookup for pt in g.support()):
-            raise ValueError("permutation not supported in delta")
-
-    def cycles_on(g):
-        seen = set()
-        out = []
-        for i in dset:
-            if i in seen:
-                continue
-            cyc = [i]
-            seen.add(i)
-            j = g.images[i - 1]
-            while j != i:
-                seen.add(j)
-                cyc.append(j)
-                j = g.images[j - 1]
-            out.append(tuple(cyc))
-        return out
-
-    cx, cy = cycles_on(x), cycles_on(y)
-    by_len_x: dict[int, list] = {}
-    by_len_y: dict[int, list] = {}
-    for c in cx:
-        by_len_x.setdefault(len(c), []).append(c)
-    for c in cy:
-        by_len_y.setdefault(len(c), []).append(c)
-    if {l: len(v) for l, v in by_len_x.items()} != {l: len(v) for l, v in by_len_y.items()}:
-        return None
-    images = list(range(1, n + 1))
-    for length, xs in sorted(by_len_x.items()):
-        ys = sorted(by_len_y[length], key=lambda c: min(c))
-        for cxi, cyi in zip(sorted(xs, key=lambda c: min(c)), ys):
-            # rotate both cycles to start at their minimal point
-            ix = cxi.index(min(cxi))
-            iy = cyi.index(min(cyi))
-            for off in range(length):
-                images[cxi[(ix + off) % length] - 1] = cyi[(iy + off) % length]
     return Permutation(images)
 
 

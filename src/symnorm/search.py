@@ -27,7 +27,7 @@ from symnorm.encode import (
     build_instance,
     decompose_bk,
     eliminate_column,
-    equiv_orbit_swap,
+    equivalent_orbit_swaps,
     exponent_scaling_perm,
     gamma_inv,
     gamma_map,
@@ -73,9 +73,6 @@ class NormalizerResult:
     order: int
     stats: dict
     method: str
-
-    def group(self, degree: int) -> PermGroup:
-        return PermGroup.from_gens(degree, self.generators)
 
 
 class FoundGroup:
@@ -188,21 +185,13 @@ def domains_init(
     keyparts: list[list] = []
 
     # dual orbit equivalence: class sizes partition the indices, and each
-    # equivalent pair yields a normalising element
-    dual_keys = [normalized_column(inst.dual.col(j), p) for j in range(1, k + 1)]
-    cells: dict = {}
-    for j, key in enumerate(dual_keys, start=1):
-        cells.setdefault(key, []).append(j)
-    for key, cell in sorted(cells.items()):
-        rep = cell[0]
-        lead_rep = next((x for x in inst.dual.col(rep) if x), 0)
-        for j in cell[1:]:
-            if lead_rep:
-                lead_j = next(x for x in inst.dual.col(j) if x)
-                a = lead_j * pow(lead_rep, p - 2, p) % p
-            else:
-                a = 1
-            swap = equiv_orbit_swap(inst, rep, j, a)
+    # equivalent pair yields a normalising element; classes are taken in
+    # order of their normalised dual column, which fixes the generator order
+    classes = equivalent_orbit_swaps(inst, inst.dual)
+    for _, swaps in sorted(
+        classes, key=lambda c: normalized_column(inst.dual.col(c[0][0]), p)
+    ):
+        for swap in swaps:
             b, kap = decompose_bk(inst, swap)
             if kappa_gate is not None and not kappa_gate(orbit_action(inst, kap)):
                 continue
@@ -212,8 +201,8 @@ def domains_init(
                     raise AssertionError("dual-orbit swap must normalise the group")
             found.add(elem)
     if cfg.use_dual_partitions:
-        class_size = {key: len(cell) for key, cell in cells.items()}
-        keyparts.append([class_size[key] for key in dual_keys])
+        class_size = {j: len(cell) for cell, _ in classes for j in cell}
+        keyparts.append([class_size[j] for j in range(1, k + 1)])
 
     # stabiliser class-size profiles, for the code and its dual
     profiles = []

