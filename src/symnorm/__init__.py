@@ -17,7 +17,13 @@ from symnorm.encode import (
     code_to_group,
     reduce_equivalent_orbits,
 )
-from symnorm.gfp import FpMatrix, Partition, PrimeField, WeightEnumerator
+from symnorm.gfp import (
+    FpMatrix,
+    InvariantViolation,
+    Partition,
+    PrimeField,
+    WeightEnumerator,
+)
 from symnorm.oracle import brute_canon_rep, brute_maut, brute_normalizer
 from symnorm.perm import PermGroup, Permutation, StabChain
 from symnorm.search import (
@@ -34,6 +40,7 @@ __all__ = [
     "DihedralInstance",
     "FpMatrix",
     "InPInstance",
+    "InvariantViolation",
     "MonomialElement",
     "NormalizerResult",
     "NotInClass",

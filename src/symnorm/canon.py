@@ -14,14 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from symnorm.encode import (
-    InPInstance,
-    MonomialElement,
-    gamma_map,
-    kappa_element,
-    xi_preimage,
-)
-from symnorm.gfp import FpMatrix, Partition, member_row_space, rref_standard
+from symnorm.encode import InPInstance, affine_perm
+from symnorm.gfp import FpMatrix, Partition, rref_standard
 from symnorm.perm import Permutation
 
 
@@ -125,7 +119,8 @@ def kappa_feasible(inst: InPInstance, pi: Permutation) -> Permutation | None:
     of the leading projection is a scaling invariant) and the answer is
     immediately negative.  Otherwise the codes match exactly when their
     canonical representatives do, and the quotient of tracked column
-    scalings lifts to b.
+    scalings lifts to b.  The search's found group verifies b * kappa
+    before keeping it.
     """
     p = inst.p
     permuted = permuted_code_matrix(inst, pi)
@@ -140,12 +135,4 @@ def kappa_feasible(inst: InPInstance, pi: Permutation) -> Permutation | None:
         d1 * pow(d2, p - 2, p) % p
         for d1, d2 in zip(own.col_scalings, other.col_scalings)
     )
-    b = xi_preimage(inst, MonomialElement(p, diag, Permutation.identity(inst.k)))
-    elem = b * kappa_element(inst, pi)
-    for x in inst.standard_gens:
-        img = gamma_map(inst, x.conj(elem))
-        if member_row_space(img, inst.matrix) is None:
-            raise AssertionError(
-                "matching canonical representatives must lift to a normalising element"
-            )
-    return b
+    return affine_perm(inst, scale=diag)

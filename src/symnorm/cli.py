@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from symnorm.dihedral import build_dihedral, normalizer_dihedral
 from symnorm.encode import NotInClass, code_to_group
-from symnorm.gfp import BudgetExceeded, FpMatrix, matrix_rank
+from symnorm.gfp import BudgetExceeded, FpMatrix, InvariantViolation, matrix_rank
 from symnorm.oracle import brute_normalizer
 from symnorm.perm import PermGroup, Permutation, format_group, parse_group
 from symnorm.search import (
@@ -397,7 +397,7 @@ def main(argv=None) -> int:
             else:
                 print(format_bench_table(table))
             return 0
-    except (NotInClass, BudgetExceeded, ValueError, OSError) as exc:
+    except (NotInClass, BudgetExceeded, InvariantViolation, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

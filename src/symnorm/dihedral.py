@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass, replace
 
 from symnorm.encode import InPInstance, NotInClass, build_instance, gamma_inv
-from symnorm.gfp import PrimeField, is_prime
+from symnorm.gfp import InvariantViolation, PrimeField, is_prime
 from symnorm.perm import (
     PermGroup,
     Permutation,
@@ -24,7 +24,13 @@ from symnorm.perm import (
     orbits_of,
     restrict_to,
 )
-from symnorm.search import NormalizerResult, SearchConfig, full_search, normalizer_in_sym
+from symnorm.search import (
+    NormalizerResult,
+    SearchConfig,
+    full_search,
+    normalizer_in_sym,
+    verify_normalises,
+)
 
 _COMPLEMENT_RANK_LIMIT = 20  # 2^rank sections are enumerated
 
@@ -155,7 +161,7 @@ def build_dihedral(H: PermGroup, p: int) -> DihedralInstance:
     complement = PermGroup.from_gens(H.degree, comp_gens)
     for g in complement.generators:
         if not (g * g).is_identity():
-            raise AssertionError("complement generators must be involutions")
+            raise InvariantViolation("complement generators must be involutions")
 
     # per orbit: reflection, fixed point, and the cycle of the first
     # rotation generator moving the orbit, rooted at the fixed point
@@ -229,6 +235,15 @@ def normalizer_dihedral(
     generated by these lifts together with the group itself.  Both
     searches share one deadline: the second gets what the first left of
     cfg.time_limit.
+
+    The order is a closed form, |N| = |N_R| * p^(s - k), with N_R the
+    rotation normaliser found and s the dimension of the rotation code.
+    The search seeds N_R with every orbit cycle, so N_R contains the p^k
+    orbit translations T and N_R = T x| S, where S is the stabiliser of
+    the fixed points alpha; y -> y * prod_j g_j^(r_j) is the projection
+    onto S, so the lifts generate S.  The group H = R x| C meets S in the
+    complement C (a rotation fixing every alpha_j is trivial), hence
+    |<S, H>| = |S| |H| / |C| = (|N_R| / p^k) * p^s.
     """
     cfg = cfg or SearchConfig()
     started = time.monotonic()
@@ -251,7 +266,7 @@ def normalizer_dihedral(
     for g in sub2.generators:
         imgs = [lookup.get(frozenset(g.image(q) for q in blk)) for blk in blocks]
         if None in imgs:
-            raise AssertionError("block normaliser must permute the blocks")
+            raise InvariantViolation("block normaliser must permute the blocks")
         induced.append(Permutation(imgs))
     kappa_group = PermGroup.from_gens(inst.k, induced)
     if cfg.time_limit is not None:
@@ -269,12 +284,8 @@ def normalizer_dihedral(
             shift[j] = rot.point_exp[inst.alpha[j]] - rot.point_exp[pt]
         lifted.append(y * gamma_inv(rot, shift))
     group = PermGroup.from_gens(inst.degree, lifted + list(inst.group.generators))
-
-    hchain = inst.group.chain()
-    for g in group.generators:
-        for x in inst.group.generators:
-            if not hchain.contains(x.conj(g)):
-                raise AssertionError("result generator fails to normalise the input")
+    verify_normalises(inst.group, group.generators)
     stats["nodes"] = stats.get("blocks_nodes", 0) + stats.get("rotations_nodes", 0)
     stats["verified_generators"] = len(group.generators)
-    return NormalizerResult(group.generators, group.order(), stats, "dihedral")
+    order = sub_p.order // inst.p ** (rot.k - rot.s)
+    return NormalizerResult(group.generators, order, stats, "dihedral")

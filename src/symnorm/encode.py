@@ -4,11 +4,15 @@ A group H whose orbits all have prime size p, with cyclic restriction of
 order p on each, is determined by a linear code over F_p: fix a p-cycle
 g_i on each orbit, send a product of powers of the g_i to its exponent
 vector, and row-reduce the images of the generators.  This module
-recognises such groups, builds the full translation (ordered orbits,
-orbit bijections, generator matrix in standard form, dual code), and
-realises the structural maps the search relies on: the monomial action on
-the code, its permutation preimages, the swaps of equivalent orbits, and
-the reduction that collapses equivalent orbits.
+recognises such groups, builds the full translation (ordered orbits and
+their cycles, generator matrix in standard form, dual code), and
+realises the structural maps the search relies on in coordinates of the
+overgroup L = B K: every element of L sends the u-th point of orbit i's
+cycle to the (scale[i] u + shift[i])-th point of orbit pi(i)'s cycle, and
+affine_perm / affine_parts convert between such triples and permutations.
+The exponent-vector maps, the monomial action on the code, the swaps of
+equivalent orbits and the reduction that collapses equivalent orbits are
+all built on these two.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from dataclasses import dataclass, field, replace
 
 from symnorm.gfp import (
     FpMatrix,
+    InvariantViolation,
     PrimeField,
     column_equiv_classes,
     dual_matrix,
@@ -53,30 +58,9 @@ class MonomialElement:
         if any(not 0 < d < self.p for d in self.diag):
             raise ValueError("diagonal entries must be units")
 
-    @classmethod
-    def identity(cls, p: int, k: int) -> "MonomialElement":
-        return cls(p, (1,) * k, Permutation.identity(k))
-
     @property
     def k(self) -> int:
         return len(self.diag)
-
-    def __mul__(self, other: "MonomialElement") -> "MonomialElement":
-        if self.p != other.p or self.k != other.k:
-            raise ValueError("mismatched monomial elements")
-        diag = tuple(
-            self.diag[i] * other.diag[self.perm.image(i + 1) - 1] % self.p
-            for i in range(self.k)
-        )
-        return MonomialElement(self.p, diag, self.perm * other.perm)
-
-    def inverse(self) -> "MonomialElement":
-        pinv = self.perm.inverse()
-        diag = tuple(
-            pow(self.diag[pinv.image(j + 1) - 1], self.p - 2, self.p)
-            for j in range(self.k)
-        )
-        return MonomialElement(self.p, diag, pinv)
 
     def apply(self, v) -> tuple[int, ...]:
         """Image of a row vector under the monomial action."""
@@ -86,9 +70,6 @@ class MonomialElement:
         for i in range(self.k):
             out[self.perm.image(i + 1) - 1] = v[i] * self.diag[i] % self.p
         return tuple(out)
-
-    def is_identity(self) -> bool:
-        return all(d == 1 for d in self.diag) and self.perm.is_identity()
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +89,6 @@ class InPInstance:
     degree: int
     orbits: tuple[tuple[int, ...], ...]
     orbit_gens: tuple[Permutation, ...]
-    phibars: tuple[Permutation, ...]  # phibars[0] is the identity
     matrix: FpMatrix
     dual: FpMatrix
     standard_gens: tuple[Permutation, ...]
@@ -127,10 +107,6 @@ class InPInstance:
     @property
     def s(self) -> int:
         return self.matrix.s
-
-    @property
-    def n(self) -> int:
-        return self.p * self.k
 
 
 def _orbit_cycle(g: Permutation, orbit, p: int):
@@ -184,7 +160,8 @@ def build_instance(H: PermGroup, p: int) -> InPInstance:
         second = sorted(orb)[1]
         g = g ** cyc.index(second)
         cyc = _orbit_cycle(g, orb, p)
-        assert cyc is not None
+        if cyc is None:
+            raise InvariantViolation("a power of a p-cycle must be a p-cycle")
         gens0.append(g)
         cycles0.append(cyc)
         pos0.append({pt: u for u, pt in enumerate(cyc)})
@@ -218,17 +195,7 @@ def build_instance(H: PermGroup, p: int) -> InPInstance:
     cycles = [cycles0[j - 1] for j in order]
     mstd = rref_standard(first.mstd.permute_columns(tuple(order))).mstd
     if not mstd.is_standard():
-        raise AssertionError("pivot-first relabelling must give standard form")
-
-    phibars = [Permutation.identity(H.degree)]
-    for i in range(1, k):
-        imgs = list(range(1, H.degree + 1))
-        for a, b in zip(cycles[0], cycles[i]):
-            imgs[a - 1] = b
-            imgs[b - 1] = a
-        phibars.append(Permutation(imgs))
-        if gens[0].conj(phibars[i]) != gens[i]:
-            raise AssertionError("orbit bijection must conjugate the base cycle")
+        raise InvariantViolation("pivot-first relabelling must give standard form")
 
     point_orbit = {}
     point_exp = {}
@@ -242,7 +209,6 @@ def build_instance(H: PermGroup, p: int) -> InPInstance:
         degree=H.degree,
         orbits=tuple(orbits),
         orbit_gens=tuple(gens),
-        phibars=tuple(phibars),
         matrix=mstd,
         dual=dual_matrix(mstd),
         standard_gens=(),
@@ -256,134 +222,93 @@ def build_instance(H: PermGroup, p: int) -> InPInstance:
 
 
 # ---------------------------------------------------------------------------
-# the exponent-vector isomorphism and its inverse
+# the overgroup L = B K in coordinates
+
+
+def affine_perm(inst: InPInstance, pi=None, scale=None, shift=None) -> Permutation:
+    """The element of L sending the u-th point of orbit i's cycle to the
+    (scale[i] u + shift[i])-th point of orbit pi(i)'s cycle and fixing the
+    points outside the orbits.  pi permutes the 1-based orbit indices and
+    defaults to the identity; scale (units mod p) defaults to all ones and
+    shift to all zeros, both indexed by 0-based orbit."""
+    p, k = inst.p, inst.k
+    if pi is not None and pi.degree != k:
+        raise ValueError("index permutation must have degree k")
+    if any(v is not None and len(v) != k for v in (scale, shift)):
+        raise ValueError("length mismatch")
+    if scale is not None and any(a % p == 0 for a in scale):
+        raise ValueError("scale factors must be units")
+    cycles = inst.orbit_cycles
+    imgs = list(range(1, inst.degree + 1))
+    for i, cyc in enumerate(cycles):
+        target = cyc if pi is None else cycles[pi.image(i + 1) - 1]
+        a = 1 if scale is None else scale[i]
+        b = 0 if shift is None else shift[i]
+        for u, pt in enumerate(cyc):
+            imgs[pt - 1] = target[(a * u + b) % p]
+    return Permutation(imgs)
+
+
+def affine_parts(
+    inst: InPInstance, l: Permutation
+) -> tuple[Permutation, tuple[int, ...], tuple[int, ...]]:
+    """The coordinates (pi, scale, shift) of l, read from the images of the
+    first two points of every orbit cycle; raises ValueError when l is not
+    the element of L they build, checked on every point."""
+    if l.degree != inst.degree:
+        raise ValueError("degree mismatch")
+    p = inst.p
+    pi, scale, shift = [], [], []
+    for cyc in inst.orbit_cycles:
+        x0, x1 = l.image(cyc[0]), l.image(cyc[1])
+        j = inst.point_orbit.get(x0)
+        if j is None or inst.point_orbit.get(x1) != j:
+            raise ValueError("permutation does not permute the orbits")
+        pi.append(j + 1)
+        shift.append(inst.point_exp[x0])
+        scale.append((inst.point_exp[x1] - inst.point_exp[x0]) % p)
+    parts = (Permutation(pi), tuple(scale), tuple(shift))
+    if affine_perm(inst, *parts) != l:
+        raise ValueError("permutation is not an affine map between orbit cycles")
+    return parts
 
 
 def gamma_map(inst: InPInstance, g: Permutation) -> tuple[int, ...]:
     """Exponent vector of g, which must act as a power of the cycle on
     every orbit and fix everything else."""
-    p = inst.p
-    vec = []
-    for i, cyc in enumerate(inst.orbit_cycles):
-        im = g.image(cyc[0])
-        r = inst.point_exp.get(im)
-        if r is None or inst.point_orbit[im] != i:
-            raise ValueError("permutation does not fix the orbit decomposition")
-        if any(g.image(cyc[u]) != cyc[(u + r) % p] for u in range(p)):
-            raise ValueError("restriction is not a power of the orbit cycle")
-        vec.append(r)
-    if any(inst.point_orbit.get(pt) is None for pt in g.support()):
-        raise ValueError("permutation moves points outside the orbits")
-    return tuple(vec)
+    pi, scale, shift = affine_parts(inst, g)
+    if not pi.is_identity() or any(a != 1 for a in scale):
+        raise ValueError("permutation is not a product of orbit-cycle powers")
+    return shift
 
 
 def gamma_inv(inst: InPInstance, v) -> Permutation:
     """The product of orbit-cycle powers with the given exponents."""
-    if len(v) != inst.k:
-        raise ValueError("length mismatch")
-    p = inst.p
-    imgs = list(range(1, inst.degree + 1))
-    for i, r in enumerate(v):
-        r %= p
-        if r == 0:
-            continue
-        cyc = inst.orbit_cycles[i]
-        for u in range(p):
-            imgs[cyc[u] - 1] = cyc[(u + r) % p]
-    return Permutation(imgs)
+    return affine_perm(inst, shift=tuple(v))
 
 
 def exponent_scaling_perm(inst: InPInstance, i: int, d: int) -> Permutation:
     """The permutation of orbit i fixing its minimal point (the cycle base)
     and raising the cycle to the d-th power: it conjugates the orbit cycle
     g to g^d."""
-    p = inst.p
-    d %= p
-    if d == 0:
-        raise ValueError("exponent must be a unit")
-    cyc = inst.orbit_cycles[i]
-    imgs = list(range(1, inst.degree + 1))
-    for u in range(p):
-        imgs[cyc[u] - 1] = cyc[u * d % p]
-    return Permutation(imgs)
-
-
-# ---------------------------------------------------------------------------
-# the overgroup L = B K and the monomial epimorphism
-
-
-def orbit_action(inst: InPInstance, l: Permutation) -> Permutation:
-    """The permutation of orbit indices induced by l, as a degree-k value."""
-    sets = {orb: idx for idx, orb in enumerate(inst.orbits)}
-    imgs = [0] * inst.k
-    for i, orb in enumerate(inst.orbits):
-        target = tuple(sorted(l.image(q) for q in orb))
-        j = sets.get(target)
-        if j is None:
-            raise ValueError("permutation does not permute the orbits")
-        imgs[i] = j + 1
-    return Permutation(imgs)
-
-
-def kappa_element(inst: InPInstance, pi: Permutation) -> Permutation:
-    """The product of orbit bijections realising the index permutation pi."""
-    if pi.degree != inst.k:
-        raise ValueError("index permutation must have degree k")
-    word: list[int] = []  # sequence of orbit indices x meaning the swap (1 x)
-    for cyc in pi.cycles():
-        c1 = cyc[0]
-        for other in cyc[1:]:
-            for x in (c1, other, c1) if c1 != 1 else (other,):
-                word.append(x)
-    out = Permutation.identity(inst.degree)
-    for x in word:
-        out = out * inst.phibars[x - 1]
-    if orbit_action(inst, out) != pi:
-        raise AssertionError("orbit bijection word does not realise pi")
-    return out
+    scale = [1] * inst.k
+    scale[i] = d
+    return affine_perm(inst, scale=scale)
 
 
 def decompose_bk(inst: InPInstance, l: Permutation) -> tuple[Permutation, Permutation]:
-    """Split l = b * kappa with b fixing every orbit setwise and kappa a
-    product of orbit bijections; raises if l is outside the overgroup."""
-    pi = orbit_action(inst, l)
-    kap = kappa_element(inst, pi)
-    b = l * kap.inverse()
-    _diag_of(inst, b)  # validates that b normalises each orbit cycle
-    return b, kap
-
-
-def _diag_of(inst: InPInstance, b: Permutation) -> tuple[int, ...]:
-    ds = []
-    for i, g in enumerate(inst.orbit_gens):
-        conj = g.conj(b)
-        im = conj.image(inst.orbit_cycles[i][0])
-        d = inst.point_exp.get(im)
-        if d is None or inst.point_orbit[im] != i or conj != g**d or d == 0:
-            raise ValueError("element does not normalise the per-orbit cycles")
-        ds.append(d)
-    return tuple(ds)
+    """Split l = b * kappa with b fixing every orbit setwise and kappa
+    sending each orbit cycle point by point onto the cycle of its image
+    orbit; raises if l is outside the overgroup."""
+    pi, scale, shift = affine_parts(inst, l)
+    return affine_perm(inst, None, scale, shift), affine_perm(inst, pi)
 
 
 def xi_image(inst: InPInstance, l: Permutation) -> MonomialElement:
     """The monomial element describing how conjugation by l acts on
-    exponent vectors."""
-    pi = orbit_action(inst, l)
-    kap = kappa_element(inst, pi)
-    b = l * kap.inverse()
-    return MonomialElement(inst.p, _diag_of(inst, b), pi)
-
-
-def xi_preimage(inst: InPInstance, w: MonomialElement) -> Permutation:
-    """A permutation with the given monomial image: per-orbit exponent maps
-    fixing the minimal points, times the orbit bijections for w.perm."""
-    if w.k != inst.k or w.p != inst.p:
-        raise ValueError("monomial element shape mismatch")
-    b = Permutation.identity(inst.degree)
-    for i, d in enumerate(w.diag):
-        if d != 1:
-            b = b * exponent_scaling_perm(inst, i, d)
-    return b * kappa_element(inst, w.perm)
+    exponent vectors: l's orbit permutation with its scale factors."""
+    pi, scale, _ = affine_parts(inst, l)
+    return MonomialElement(inst.p, scale, pi)
 
 
 # ---------------------------------------------------------------------------
@@ -443,14 +368,11 @@ def equiv_orbit_swap(inst: InPInstance, i: int, j: int, a: int) -> Permutation:
     """The involution exchanging orbits i and j (1-based) along the
     exponent-scaled pairing u -> a*u; it centralises any group whose code
     has column j equal to a times column i."""
-    p = inst.p
-    ci, cj = inst.orbit_cycles[i - 1], inst.orbit_cycles[j - 1]
-    imgs = list(range(1, inst.degree + 1))
-    for u in range(p):
-        x, y = ci[u], cj[a * u % p]
-        imgs[x - 1] = y
-        imgs[y - 1] = x
-    return Permutation(imgs)
+    swap = list(range(1, inst.k + 1))
+    swap[i - 1], swap[j - 1] = j, i
+    scale = [1] * inst.k
+    scale[i - 1], scale[j - 1] = a, pow(a, -1, inst.p)
+    return affine_perm(inst, Permutation(swap), scale)
 
 
 def equivalent_orbit_swaps(

@@ -21,6 +21,11 @@ class BudgetExceeded(Exception):
     """An enumeration would exceed its configured budget."""
 
 
+class InvariantViolation(Exception):
+    """An internal consistency check failed: a derived result does not hold
+    (for instance a found element that does not normalise the input)."""
+
+
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
@@ -72,11 +77,6 @@ class PrimeField:
             object.__setattr__(self, "t", primitive_root(self.p))
         if pow(self.t, self.p - 1, self.p) != 1 or self.order_of(self.t) != self.p - 1:
             raise ValueError(f"{self.t} is not primitive mod {self.p}")
-
-    def inv(self, a: int) -> int:
-        if a % self.p == 0:
-            raise ZeroDivisionError("inverse of 0")
-        return pow(a, self.p - 2, self.p)
 
     def order_of(self, a: int) -> int:
         a %= self.p
@@ -417,9 +417,6 @@ class WeightEnumerator:
 
     counts: tuple[int, ...]
 
-    def total_nonzero(self) -> int:
-        return sum(self.counts)
-
 
 def _coefficient_grid(p: int, r: int, nonzero: bool) -> np.ndarray:
     """All coefficient tuples of length r, entries in F_p (or F_p^*)."""
@@ -461,7 +458,8 @@ def min_weight_vectors(mstd: FpMatrix) -> tuple[int, set[tuple[int, ...]]]:
                 if wmin <= best:
                     for w in words[weights == best]:
                         found.add(tuple(int(x) for x in w))
-    assert best is not None
+    if best is None:
+        raise InvariantViolation("a nonzero code has a minimum-weight word")
     return best, found
 
 

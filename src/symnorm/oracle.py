@@ -15,7 +15,13 @@ from dataclasses import dataclass
 from math import factorial
 
 from symnorm.encode import MonomialElement
-from symnorm.gfp import BudgetExceeded, FpMatrix, VectorSpan, prec_key
+from symnorm.gfp import (
+    BudgetExceeded,
+    FpMatrix,
+    InvariantViolation,
+    VectorSpan,
+    prec_key,
+)
 from symnorm.perm import PermGroup, Permutation
 
 
@@ -138,5 +144,6 @@ def brute_canon_rep(a: FpMatrix, budget: OracleBudget = OracleBudget()) -> FpMat
             key = prec_key(cand)
             if best_key is None or key < best_key:
                 best, best_key = cand, key
-    assert best is not None
+    if best is None:
+        raise InvariantViolation("the identity row transform is always tried")
     return best

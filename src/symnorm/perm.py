@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from math import lcm
 
 
 _PAD = bytes(range(256))
@@ -202,9 +201,6 @@ class Permutation:
 
     def __repr__(self) -> str:
         return f"Permutation[{self.cycle_string()}]"
-
-    def order(self) -> int:
-        return lcm(1, *(len(c) for c in self.cycles()))
 
 
 _CYCLE_RE = re.compile(r"\(\s*([0-9]+(?:[,\s]+[0-9]+)*)?\s*\)")
@@ -478,13 +474,10 @@ class PermGroup:
     def trivial(cls, degree: int) -> "PermGroup":
         return cls(degree, ())
 
-    def chain(self, base_prefix=()) -> StabChain:
-        if not base_prefix and self._chain_cache:
-            return self._chain_cache[0]
-        ch = StabChain(self.degree, self.generators, base_prefix)
-        if not base_prefix:
-            self._chain_cache.append(ch)
-        return ch
+    def chain(self) -> StabChain:
+        if not self._chain_cache:
+            self._chain_cache.append(StabChain(self.degree, self.generators))
+        return self._chain_cache[0]
 
     def order(self) -> int:
         return self.chain().order()
@@ -500,19 +493,6 @@ class PermGroup:
         for g in self.generators:
             pts.update(g.support())
         return sorted(pts)
-
-    def orbits(self, domain=None) -> list[list[int]]:
-        if domain is None:
-            domain = range(1, self.degree + 1)
-        if not self.generators:
-            return [[d] for d in sorted(set(domain))]
-        return orbits_of(self.generators, domain)
-
-    def point_stabilizer(self, points) -> "PermGroup":
-        """Pointwise stabiliser of the given points."""
-        pts = tuple(points)
-        ch = self.chain(base_prefix=pts)
-        return PermGroup.from_gens(self.degree, ch.stabilizer_gens(len(pts)))
 
     def elements(self, limit: int = 10**7) -> list[Permutation]:
         """Every element, by closure; guarded by the limit."""

@@ -22,22 +22,20 @@ from math import factorial, prod
 from symnorm.canon import kappa_feasible
 from symnorm.encode import (
     InPInstance,
-    MonomialElement,
     NotInClass,
+    affine_parts,
+    affine_perm,
     build_instance,
     decompose_bk,
     eliminate_column,
     equivalent_orbit_swaps,
-    exponent_scaling_perm,
     gamma_inv,
-    gamma_map,
-    kappa_element,
-    orbit_action,
     reduce_equivalent_orbits,
-    xi_preimage,
+    xi_image,
 )
 from symnorm.gfp import (
     FpMatrix,
+    InvariantViolation,
     VectorSpan,
     mat_inverse,
     mat_mul,
@@ -63,7 +61,6 @@ class SearchConfig:
     use_alldiff: bool = True
     use_dual_partitions: bool = True
     weight_gate: int = 45
-    weight_budget: int = 1 << 20
     time_limit: float | None = None  # seconds
 
 
@@ -78,7 +75,10 @@ class NormalizerResult:
 class FoundGroup:
     """The group of normalising elements found so far, tracked both on
     points (for order and membership) and on orbit indices (for the
-    minimality pruning test)."""
+    minimality pruning test).  Every new generator g is verified: it must
+    lie in the overgroup, and w = xi_image(g) must map each code row into
+    the code.  Conjugation by g sends exponent vector v to w.apply(v), so
+    this says g conjugates every standard generator into the group."""
 
     def __init__(self, inst: InPInstance):
         self.inst = inst
@@ -91,9 +91,18 @@ class FoundGroup:
     def add(self, g: Permutation) -> bool:
         if g.is_identity() or self.chain.contains(g):
             return False
+        inst = self.inst
+        try:
+            w = xi_image(inst, g)
+        except ValueError as exc:
+            raise InvariantViolation("found element is outside the overgroup") from exc
+        for row in inst.matrix.rows:
+            img = w.apply(row)  # a row mapped onto itself needs no test
+            if img != row and member_row_space(img, inst.matrix) is None:
+                raise InvariantViolation("found element does not normalise the group")
         self.gens.append(g)
         self.chain.extend(g)
-        self.index_chain.extend(orbit_action(self.inst, g))
+        self.index_chain.extend(w.perm)
         return True
 
     def index_orbit(self, prefix_len: int, pt: int) -> set[int]:
@@ -138,11 +147,17 @@ def norm_b(inst: InPInstance) -> list[Permutation]:
     t = inst.field.t
     if t != 1:
         for comp in _support_components(inst.matrix):
-            sigma = Permutation.identity(inst.degree)
-            for j in comp:
-                sigma = sigma * exponent_scaling_perm(inst, j - 1, t)
-            gens.append(sigma)
+            scale = [t if j in comp else 1 for j in range(1, inst.k + 1)]
+            gens.append(affine_perm(inst, scale=scale))
     return gens
+
+
+def _dual_mirror(inst: InPInstance, l: Permutation) -> Permutation:
+    """l = b * kappa with its orbit-fixing part inverted, b^-1 * kappa: the
+    map (D, pi) -> (D^-1, pi) between the monomial automorphisms of the code
+    and those of its dual, on normalising elements."""
+    b, kap = decompose_bk(inst, l)
+    return b.inverse() * kap
 
 
 # ---------------------------------------------------------------------------
@@ -192,14 +207,8 @@ def domains_init(
         classes, key=lambda c: normalized_column(inst.dual.col(c[0][0]), p)
     ):
         for swap in swaps:
-            b, kap = decompose_bk(inst, swap)
-            if kappa_gate is not None and not kappa_gate(orbit_action(inst, kap)):
-                continue
-            elem = b.inverse() * kap
-            for x in inst.standard_gens:
-                if member_row_space(gamma_map(inst, x.conj(elem)), inst.matrix) is None:
-                    raise AssertionError("dual-orbit swap must normalise the group")
-            found.add(elem)
+            if kappa_gate is None or kappa_gate(affine_parts(inst, swap)[0]):
+                found.add(_dual_mirror(inst, swap))
     if cfg.use_dual_partitions:
         class_size = {j: len(cell) for cell, _ in classes for j in cell}
         keyparts.append([class_size[j] for j in range(1, k + 1)])
@@ -275,7 +284,6 @@ def compare_stabs(
     doms,
     gate_dim: int | None = None,
     weight_gate: int = 45,
-    weight_budget: int = 1 << 20,
     wcache: dict | None = None,
 ) -> tuple[bool, list[set[int]]]:
     """Compare stabiliser codes of the assigned orbits and their images:
@@ -298,11 +306,11 @@ def compare_stabs(
             wcache = {}
         w1 = wcache.get(mstab.rows)
         if w1 is None:
-            w1 = weight_enumerator(mstab, weight_budget)
+            w1 = weight_enumerator(mstab)
             wcache[mstab.rows] = w1
         w2 = wcache.get(mstab_im.rows)
         if w2 is None:
-            w2 = weight_enumerator(mstab_im, weight_budget)
+            w2 = weight_enumerator(mstab_im)
             wcache[mstab_im.rows] = w2
         if w1 is not None and w2 is not None and w1 != w2:
             return False, doms
@@ -471,7 +479,6 @@ class _Search:
                     doms,
                     gate_dim=self.s - d,
                     weight_gate=cfg.weight_gate,
-                    weight_budget=cfg.weight_budget,
                     wcache=self.wcache,
                 )
                 if not ok:
@@ -485,7 +492,6 @@ class _Search:
                         doms,
                         gate_dim=(self.k - self.s) - d,
                         weight_gate=cfg.weight_gate,
-                        weight_budget=cfg.weight_budget,
                         wcache=self.wcache,
                     )
                     if not ok:
@@ -532,8 +538,7 @@ class _Search:
         if b is None:
             self.stats["leaf_infeasible"] += 1
             return None
-        elem = b * kappa_element(self.inst, pi)
-        self.found.add(elem)
+        self.found.add(b * affine_perm(self.inst, pi))
         self.stats["found"] += 1
         return self._jump_target(alpha)
 
@@ -594,12 +599,7 @@ class _Search:
             pi = Permutation(kappa_imgs)
             if not self._kappa_allowed(pi):
                 continue
-            w = MonomialElement(p, tuple(diag), pi)
-            elem = xi_preimage(inst, w)
-            for x in inst.standard_gens:
-                if member_row_space(gamma_map(inst, x.conj(elem)), inst.matrix) is None:
-                    raise AssertionError("scaling extension must normalise")
-            self.found.add(elem)
+            self.found.add(affine_perm(inst, pi, diag))
             self.stats["found"] += 1
 
 
@@ -635,6 +635,16 @@ def limit_depth_search(
 
 # ---------------------------------------------------------------------------
 # the top-level pipeline
+
+
+def verify_normalises(H: PermGroup, gens) -> None:
+    """Raise InvariantViolation unless every g in gens conjugates each
+    generator of H into H (membership through H's chain)."""
+    chain = H.chain()
+    for g in gens:
+        for x in H.generators:
+            if not chain.contains(x.conj(g)):
+                raise InvariantViolation("result generator fails to normalise the input")
 
 
 def _dual_swappable(inst: InPInstance, method: str) -> bool:
@@ -679,10 +689,7 @@ def _search_with_dual_swap(
             restrict_d[to_dual[i]] = {to_dual[j - 1] + 1 for j in domain_restrict[i]}
     sub = runner(dual_inst, cfg, domain_restrict=restrict_d)
 
-    gens: list[Permutation] = list(inst.orbit_gens)
-    for g in sub.generators:
-        b, kap = decompose_bk(inst, g)
-        gens.append(b.inverse() * kap)
+    gens = list(inst.orbit_gens) + [_dual_mirror(inst, g) for g in sub.generators]
     grp = PermGroup.from_gens(inst.degree, gens)
     stats = dict(sub.stats)
     stats["dual_swapped"] = 1
@@ -738,11 +745,7 @@ def normalizer_in_sym(
     )
 
     group = PermGroup.from_gens(H.degree, gens)
-    hcheck = H.chain()
-    for g in group.generators:
-        for x in H.generators:
-            if not hcheck.contains(x.conj(g)):
-                raise AssertionError("result generator fails to normalise the input")
+    verify_normalises(H, group.generators)
     stats = dict(sub.stats)
     stats["verified_generators"] = len(group.generators)
     return NormalizerResult(group.generators, order, stats, method)

@@ -1,20 +1,18 @@
 import itertools
 import random
 
-import pytest
-
 from symnorm.canon import (
-    CanonResult,
     canonical_rep,
     kappa_feasible,
     permuted_code_matrix,
     support_partitions,
 )
 from symnorm.encode import (
+    affine_perm,
     build_instance,
     code_to_group,
+    exponent_scaling_perm,
     gamma_map,
-    kappa_element,
 )
 from symnorm.gfp import (
     FpMatrix,
@@ -22,7 +20,6 @@ from symnorm.gfp import (
     mat_mul,
     matrix_rank,
     member_row_space,
-    prec_key,
 )
 from symnorm.oracle import brute_canon_rep
 from symnorm.perm import PermGroup, Permutation
@@ -195,8 +192,6 @@ class TestKappaFeasible:
             inst = build_instance(grp, p)
             hset = {g.images for g in grp.elements()}
             k = inst.k
-            from symnorm.encode import exponent_scaling_perm
-
             # all of B = per-orbit affine normalisers
             per_orbit = []
             for i in range(k):
@@ -215,7 +210,7 @@ class TestKappaFeasible:
                 per_orbit.append(opts)
             for imgs in itertools.permutations(range(1, k + 1)):
                 pi = Permutation(imgs)
-                kap = kappa_element(inst, pi)
+                kap = affine_perm(inst, pi)
                 feasible = None
                 for combo in itertools.product(*per_orbit):
                     b = combo[0]

@@ -1,8 +1,8 @@
 import json
-import random
 
 import pytest
 
+import symnorm.cli as cli_module
 from symnorm.cli import (
     BenchCell,
     bench,
@@ -13,6 +13,7 @@ from symnorm.cli import (
     main,
     parse_family,
 )
+from symnorm.gfp import InvariantViolation
 from symnorm.oracle import brute_normalizer
 from symnorm.perm import PermGroup, parse_group, parse_permutation
 from symnorm.search import SearchConfig
@@ -159,6 +160,17 @@ class TestMain:
         path.write_text("2 3\n(1 2 3)\n")
         assert main(["compute", "--in", str(path)]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_invariant_violation_is_diagnosed(self, tmp_path, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise InvariantViolation("result generator fails to normalise the input")
+
+        monkeypatch.setattr(cli_module, "normalizer_in_sym", broken)
+        path = tmp_path / "grp.txt"
+        main(["gen", "--p", "3", "--k", "3", "--dim", "2", "--seed", "0",
+              "--out", str(path)])
+        assert main(["compute", "--in", str(path)]) == 2
+        assert "fails to normalise" in capsys.readouterr().err
 
     def test_unknown_prune_rule(self, tmp_path, capsys):
         path = tmp_path / "grp.txt"

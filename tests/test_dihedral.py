@@ -1,4 +1,3 @@
-import itertools
 import random
 from types import SimpleNamespace
 
@@ -6,12 +5,8 @@ import pytest
 
 import symnorm.dihedral as dihedral_module
 import symnorm.search as search_module
-from symnorm.cli import gen_instance
-from symnorm.dihedral import (
-    DihedralInstance,
-    build_dihedral,
-    normalizer_dihedral,
-)
+from symnorm.cli import gen_instance, random_full_rank
+from symnorm.dihedral import build_dihedral, normalizer_dihedral
 from symnorm.encode import NotInClass, code_to_group
 from symnorm.gfp import FpMatrix, matrix_rank
 from symnorm.oracle import brute_normalizer
@@ -204,3 +199,41 @@ class TestNormalizerDihedral:
         with pytest.raises(SearchTimeout):
             normalizer_dihedral(inst, SearchConfig(time_limit=limit))
         assert normalizer_dihedral(inst, SearchConfig(time_limit=total)).order == full.order
+
+
+class TestClosedFormOrder:
+    # the closed-form order against sympy's Schreier-Sims on the result
+    # generators, for instances relabelled by a random permutation of all
+    # points; (13, 20, 3) has degree 260 and runs on the tuple backing.
+    # gen_instance's reflections mostly make the rotation code all of F_p^k;
+    # one reflection of every orbit keeps it at dimension dim < k
+    @pytest.mark.parametrize("one_reflection", [False, True])
+    @pytest.mark.parametrize(
+        "p,k,dim,seeds",
+        [(3, 6, 2, 4), (5, 5, 3, 3), (3, 10, 4, 2), (7, 8, 3, 2), (13, 20, 3, 1)],
+    )
+    def test_order_matches_sympy(self, p, k, dim, seeds, one_reflection):
+        comb = pytest.importorskip("sympy.combinatorics")
+        for seed in range(seeds):
+            rng = random.Random(seed)
+            if one_reflection:
+                rot = random_full_rank(rng, p, k, dim)
+                while not all(any(rot.col(j)) for j in range(1, k + 1)):
+                    rot = random_full_rank(rng, p, k, dim)
+                base = dihedral_group_from_codes(p, rot, M(2, [[1] * k]))
+            else:
+                base, _ = gen_instance(p, k, dim, seed, dihedral=True)
+            imgs = list(range(1, base.degree + 1))
+            rng.shuffle(imgs)
+            sigma = Permutation(imgs)
+            grp = PermGroup.from_gens(
+                base.degree, [g.conj(sigma) for g in base.generators]
+            )
+            inst = build_dihedral(grp, p)
+            if one_reflection:
+                assert inst.rot_inst.s == dim < k
+            res = normalizer_dihedral(inst)
+            expect = comb.PermutationGroup(
+                [comb.Permutation([x - 1 for x in g.images]) for g in res.generators]
+            ).order()
+            assert res.order == expect, (p, k, dim, seed)

@@ -6,6 +6,8 @@ import pytest
 from symnorm.encode import (
     MonomialElement,
     NotInClass,
+    affine_parts,
+    affine_perm,
     build_instance,
     code_to_group,
     decompose_bk,
@@ -14,13 +16,10 @@ from symnorm.encode import (
     exponent_scaling_perm,
     gamma_inv,
     gamma_map,
-    kappa_element,
-    orbit_action,
     reduce_equivalent_orbits,
     xi_image,
-    xi_preimage,
 )
-from symnorm.gfp import FpMatrix, row_combination
+from symnorm.gfp import FpMatrix
 from symnorm.perm import PermGroup, Permutation
 from symnorm.search import norm_b
 
@@ -36,6 +35,28 @@ def M(p, rows):
 def e1_group():
     """Three 2-point orbits, code [[1,0,1],[0,1,1]] over F_2."""
     return PermGroup.from_gens(6, [P(6, (1, 2), (5, 6)), P(6, (3, 4), (5, 6))])
+
+
+def swap_perm(k, i, j):
+    """The transposition of orbit indices i and j (1-based) in S_k."""
+    imgs = list(range(1, k + 1))
+    imgs[i - 1], imgs[j - 1] = j, i
+    return Permutation(imgs)
+
+
+def mono_product(w1, w2):
+    """w1 then w2 as one monomial map (reference for the action)."""
+    diag = tuple(
+        w1.diag[i] * w2.diag[w1.perm.image(i + 1) - 1] % w1.p for i in range(w1.k)
+    )
+    return MonomialElement(w1.p, diag, w1.perm * w2.perm)
+
+
+def random_monomial(rng, p, k):
+    diag = tuple(rng.randrange(1, p) for _ in range(k))
+    imgs = list(range(1, k + 1))
+    rng.shuffle(imgs)
+    return MonomialElement(p, diag, Permutation(imgs))
 
 
 def random_instance(rng, p, k, dim):
@@ -102,9 +123,13 @@ class TestBuildInstance:
             assert grp.order() == p**inst.s
             for i, x in enumerate(inst.standard_gens):
                 assert gamma_map(inst, x) == inst.matrix.rows[i]
-            # orbit generators conjugate correctly along the bijections
-            for i in range(inst.k):
-                assert inst.orbit_gens[0].conj(inst.phibars[i]) == inst.orbit_gens[i]
+            # every orbit bijection conjugates each orbit cycle onto the
+            # cycle of the orbit it moves to
+            for imgs in itertools.permutations(range(1, inst.k + 1)):
+                pi = Permutation(imgs)
+                kap = affine_perm(inst, pi)
+                for i in range(inst.k):
+                    assert inst.orbit_gens[i].conj(kap) == inst.orbit_gens[imgs[i] - 1]
 
 
 class TestGamma:
@@ -144,35 +169,34 @@ class TestMonomial:
         rng = random.Random(7)
         p, k = 5, 4
         for _ in range(50):
-            ws = []
-            for _ in range(2):
-                diag = tuple(rng.randrange(1, p) for _ in range(k))
-                imgs = list(range(1, k + 1))
-                rng.shuffle(imgs)
-                ws.append(MonomialElement(p, diag, Permutation(imgs)))
-            w1, w2 = ws
+            w1, w2 = random_monomial(rng, p, k), random_monomial(rng, p, k)
             v = tuple(rng.randrange(p) for _ in range(k))
-            assert (w1 * w2).apply(v) == w2.apply(w1.apply(v))
-            assert (w1 * w1.inverse()).is_identity()
+            assert mono_product(w1, w2).apply(v) == w2.apply(w1.apply(v))
+            inv_perm = w1.perm.inverse()
+            inv_diag = tuple(
+                pow(w1.diag[inv_perm.image(j) - 1], -1, p) for j in range(1, k + 1)
+            )
+            w1_inv = MonomialElement(p, inv_diag, inv_perm)
+            assert w1_inv.apply(w1.apply(v)) == v
 
 
 class TestXi:
     def test_kappa_element_example(self):
         inst = build_instance(e1_group(), 2)
-        kap = kappa_element(inst, Permutation((2, 1, 3)))
-        assert kap == inst.phibars[1]
-        assert orbit_action(inst, kap) == Permutation((2, 1, 3))
+        kap = affine_perm(inst, Permutation((2, 1, 3)))
+        assert kap == P(6, (1, 3), (2, 4))
+        assert affine_parts(inst, kap)[0] == Permutation((2, 1, 3))
 
     def test_kappa_realises_any_index_perm(self):
         rng = random.Random(11)
         inst = random_instance(rng, 3, 4, 2)
         for imgs in itertools.permutations(range(1, 5)):
             pi = Permutation(imgs)
-            assert orbit_action(inst, kappa_element(inst, pi)) == pi
+            assert affine_parts(inst, affine_perm(inst, pi))[0] == pi
 
     def test_decompose_examples(self):
         inst = build_instance(e1_group(), 2)
-        phi2 = inst.phibars[1]
+        phi2 = affine_perm(inst, Permutation((2, 1, 3)))
         b, kap = decompose_bk(inst, phi2)
         assert b.is_identity() and kap == phi2
         g = inst.orbit_gens[0]
@@ -183,27 +207,26 @@ class TestXi:
         grp = PermGroup.from_gens(6, [P(6, (1, 2, 3), (4, 5, 6))])
         inst = build_instance(grp, 3)
         sigma = exponent_scaling_perm(inst, 0, 2)
-        l = sigma * inst.phibars[1]
+        l = sigma * affine_perm(inst, Permutation((2, 1)))
         b, kap = decompose_bk(inst, l)
         assert b * kap == l
-        assert orbit_action(inst, kap) == Permutation((2, 1))
+        assert affine_parts(inst, kap)[0] == Permutation((2, 1))
 
     def test_xi_kernel(self):
         inst = build_instance(e1_group(), 2)
         w = xi_image(inst, inst.orbit_gens[0])
-        assert w.is_identity()
+        assert w == MonomialElement(2, (1, 1, 1), Permutation.identity(3))
 
     def test_xi_image_of_swap(self):
         inst = build_instance(e1_group(), 2)
-        w = xi_image(inst, inst.phibars[1])
+        w = xi_image(inst, affine_perm(inst, Permutation((2, 1, 3))))
         assert w.diag == (1, 1, 1)
         assert w.perm == Permutation((2, 1, 3))
 
     def test_preimage_example(self):
         grp = PermGroup.from_gens(6, [P(6, (1, 2, 3)), P(6, (4, 5, 6))])
         inst = build_instance(grp, 3)
-        w = MonomialElement(3, (2, 1), Permutation.identity(2))
-        sigma = xi_preimage(inst, w)
+        sigma = affine_perm(inst, scale=(2, 1))
         assert sigma == P(6, (2, 3))
         assert inst.orbit_gens[0].conj(sigma) == inst.orbit_gens[0] ** 2
 
@@ -211,11 +234,8 @@ class TestXi:
         rng = random.Random(13)
         inst = random_instance(rng, 5, 3, 2)
         for _ in range(30):
-            diag = tuple(rng.randrange(1, 5) for _ in range(3))
-            imgs = list(range(1, 4))
-            rng.shuffle(imgs)
-            w = MonomialElement(5, diag, Permutation(imgs))
-            assert xi_image(inst, xi_preimage(inst, w)) == w
+            w = random_monomial(rng, 5, 3)
+            assert xi_image(inst, affine_perm(inst, w.perm, w.diag)) == w
 
     def test_xi_homomorphism(self):
         rng = random.Random(17)
@@ -223,12 +243,13 @@ class TestXi:
         for _ in range(20):
             ls = []
             for _ in range(2):
-                diag = tuple(rng.randrange(1, 3) for _ in range(4))
-                imgs = list(range(1, 5))
-                rng.shuffle(imgs)
-                ls.append(xi_preimage(inst, MonomialElement(3, diag, Permutation(imgs))))
+                w = random_monomial(rng, 3, 4)
+                shift = [rng.randrange(3) for _ in range(4)]
+                ls.append(affine_perm(inst, w.perm, w.diag, shift))
             l1, l2 = ls
-            assert xi_image(inst, l1 * l2) == xi_image(inst, l1) * xi_image(inst, l2)
+            assert xi_image(inst, l1 * l2) == mono_product(
+                xi_image(inst, l1), xi_image(inst, l2)
+            )
 
     def test_equivariance(self):
         # conjugation on the group matches the monomial action on vectors
@@ -237,11 +258,9 @@ class TestXi:
         for _ in range(30):
             v = tuple(rng.randrange(5) for _ in range(3))
             g = gamma_inv(inst, v)
-            diag = tuple(rng.randrange(1, 5) for _ in range(3))
-            imgs = list(range(1, 4))
-            rng.shuffle(imgs)
-            l = xi_preimage(inst, MonomialElement(5, diag, Permutation(imgs)))
-            w = xi_image(inst, l)
+            w = random_monomial(rng, 5, 3)
+            l = affine_perm(inst, w.perm, w.diag)
+            assert xi_image(inst, l) == w
             assert gamma_map(inst, g.conj(l)) == w.apply(v)
 
 
@@ -382,14 +401,15 @@ class TestBuildLK:
     # bijections generate the orbit-exchange part K
     def test_shapes(self):
         inst = build_instance(e1_group(), 2)
-        k_gens, b_gens = list(inst.phibars[1:]), norm_b(inst)
+        k_gens = [affine_perm(inst, swap_perm(3, 1, i)) for i in (2, 3)]
+        b_gens = norm_b(inst)
         assert len(k_gens) == 2
         assert len(b_gens) == 3  # t = 1 for p = 2, no scaling maps
 
     def test_b_part_order(self):
         grp = PermGroup.from_gens(6, [P(6, (1, 2, 3)), P(6, (4, 5, 6))])
         inst = build_instance(grp, 3)
-        k_gens, b_gens = list(inst.phibars[1:]), norm_b(inst)
+        k_gens, b_gens = [affine_perm(inst, swap_perm(2, 1, 2))], norm_b(inst)
         assert PermGroup.from_gens(6, b_gens).order() == 36  # (3*2)^2
         full = PermGroup.from_gens(6, b_gens + k_gens)
         assert full.order() == 72

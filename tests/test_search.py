@@ -3,16 +3,24 @@ import random
 
 import pytest
 
+import symnorm.search as search_module
 from symnorm.cli import gen_instance
 from symnorm.encode import (
     build_instance,
     code_to_group,
     decompose_bk,
+    exponent_scaling_perm,
     gamma_inv,
     gamma_map,
     reduce_equivalent_orbits,
 )
-from symnorm.gfp import FpMatrix, in_row_space, matrix_rank, member_row_space
+from symnorm.gfp import (
+    FpMatrix,
+    InvariantViolation,
+    in_row_space,
+    matrix_rank,
+    member_row_space,
+)
 from symnorm.oracle import brute_maut, brute_normalizer
 from symnorm.perm import PermGroup, Permutation
 from symnorm.search import (
@@ -94,8 +102,6 @@ class TestNormB:
     def test_against_brute_force_over_b(self):
         # enumerate all orbit-fixing candidates and keep the normalising ones
         rng = random.Random(3)
-        from symnorm.encode import exponent_scaling_perm
-
         for _ in range(12):
             k = rng.randrange(1, 4)
             dim = rng.randrange(1, k + 1)
@@ -463,3 +469,29 @@ class TestKnownOrders:
         assert grp.degree == 259
         res = normalizer_in_sym(grp, 7)
         assert res.order == sympy_order(res.generators)
+
+
+class TestVerification:
+    # the found group verifies every new generator, so a wrong lift from
+    # kappa_feasible stops the pipeline with the named exception
+    @pytest.mark.parametrize("wrong", ["outside_overgroup", "not_normalising"])
+    def test_wrong_lift_raises(self, monkeypatch, wrong):
+        def bad_feasible(inst, pi):
+            if wrong == "outside_overgroup":
+                cyc = inst.orbit_cycles[0]
+                return Permutation.from_cycles(inst.degree, [(cyc[1], cyc[2])])
+            return exponent_scaling_perm(inst, 0, 2)
+
+        grp, _ = gen_instance(5, 6, 3, seed=0)
+        assert normalizer_in_sym(grp, 5).stats["found"] >= 1
+        monkeypatch.setattr(search_module, "kappa_feasible", bad_feasible)
+        with pytest.raises(InvariantViolation):
+            normalizer_in_sym(grp, 5)
+
+    def test_found_group_rejects_non_normalising(self):
+        inst = build_instance(code_to_group(M(3, [[1, 0, 1], [0, 1, 1]])), 3)
+        found = FoundGroup(inst)
+        assert found.add(inst.orbit_gens[0])
+        with pytest.raises(InvariantViolation):
+            found.add(exponent_scaling_perm(inst, 0, 2))
+        assert found.gens == [inst.orbit_gens[0]]
