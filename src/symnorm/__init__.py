@@ -20,7 +20,6 @@ from symnorm.encode import (
 from symnorm.gfp import (
     FpMatrix,
     InvariantViolation,
-    Partition,
     PrimeField,
     WeightEnumerator,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "MonomialElement",
     "NormalizerResult",
     "NotInClass",
-    "Partition",
     "PermGroup",
     "Permutation",
     "PrimeField",

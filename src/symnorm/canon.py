@@ -3,7 +3,7 @@ scalings, and the per-orbit-permutation feasibility test built on them.
 
 A standard-form generator matrix is reduced to the least element of its
 orbit under invertible row operations and nonzero column scalings, scanning
-columns left to right and rows bottom to top, with the applied scalings
+columns left to right and rows bottom to top, with the column scalings
 tracked so two reductions can be compared and their quotient lifted back to
 a permutation.  Whether some orbit-fixing permutation completes a given
 orbit permutation to a normalising element is decided by comparing the
@@ -15,13 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from symnorm.encode import InPInstance, affine_perm
-from symnorm.gfp import FpMatrix, Partition, rref_standard
+from symnorm.gfp import FpMatrix, rref_standard
 from symnorm.perm import Permutation
 
 
-def support_partitions(a: FpMatrix) -> tuple[Partition, ...]:
-    """For each column count j, the finest partition of the rows whose
-    cells contain the support of every one of the first j columns.
+def support_partitions(a: FpMatrix) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """For each column count j, the cells (1-based rows, in order of their
+    least row) of the finest partition of the rows whose cells contain the
+    support of every one of the first j columns.
 
     The matrix must be in standard form, so the first s partitions are
     discrete; after that, each column merges the cells its support meets.
@@ -40,17 +41,16 @@ def support_partitions(a: FpMatrix) -> tuple[Partition, ...]:
         cells: dict[int, list[int]] = {}
         for i, cid in enumerate(ids):
             cells.setdefault(cid, []).append(i + 1)
-        out.append(Partition.from_cells(s, cells.values()))
+        out.append(tuple(tuple(c) for c in cells.values()))
     return tuple(out)
 
 
 @dataclass(frozen=True)
 class CanonResult:
-    """rep together with the transform that produced it:
-    row_transform^-1 . input . diag(col_scalings) == rep."""
+    """rep together with the column scalings that produced it: some row
+    scaling of input . diag(col_scalings) equals rep."""
 
     rep: FpMatrix
-    row_transform: FpMatrix
     col_scalings: tuple[int, ...]
 
 
@@ -63,20 +63,16 @@ def canonical_rep(a: FpMatrix) -> CanonResult:
     support partition (rows of a cell scale together, compensated on the
     columns already fixed), so in column j+1 exactly the bottom-most
     nonzero entry of each cell can be normalised to 1 and nothing else can
-    improve.  Only row scalings are applied, so the tracked row transform
-    is diagonal.
+    improve.  Only row scalings are applied.
     """
     if not a.is_standard():
         raise ValueError("matrix is not in standard form")
     p, s, k = a.p, a.s, a.k
-    parts = support_partitions(a)
-    # 0-based cell lookup per column
-    cell_rows = [
-        {i - 1: tuple(x - 1 for x in parts[j].cell_of(i)) for i in range(1, s + 1)}
-        for j in range(k)
-    ]
+    cell_rows = []  # per column: 0-based row -> its 0-based cell
+    for cells in support_partitions(a):
+        zero_based = [tuple(i - 1 for i in c) for c in cells]
+        cell_rows.append({i: c for c in zero_based for i in c})
     work = [list(r) for r in a.rows]
-    row_scale = [1] * s
     col_scale = [1] * k
     for j0 in range(s - 1, k - 1):
         for i0 in range(s - 1, -1, -1):
@@ -87,18 +83,12 @@ def canonical_rep(a: FpMatrix) -> CanonResult:
             inv = pow(val, p - 2, p)
             for r in cell:
                 work[r] = [x * inv % p for x in work[r]]
-                row_scale[r] = row_scale[r] * inv % p
             for l0 in range(j0 + 1):
                 if any(work[q][l0] for q in cell):
                     for r in range(s):
                         work[r][l0] = work[r][l0] * val % p
                     col_scale[l0] = col_scale[l0] * val % p
-    rep = FpMatrix.from_rows(p, work, k)
-    rinv_rows = [
-        tuple(pow(row_scale[i], p - 2, p) if i == j else 0 for j in range(s))
-        for i in range(s)
-    ]
-    return CanonResult(rep, FpMatrix.from_rows(p, rinv_rows, s), tuple(col_scale))
+    return CanonResult(FpMatrix.from_rows(p, work, k), tuple(col_scale))
 
 
 def permuted_code_matrix(inst: InPInstance, pi: Permutation) -> FpMatrix:

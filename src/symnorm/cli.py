@@ -22,7 +22,13 @@ from dataclasses import dataclass, field
 
 from symnorm.dihedral import build_dihedral, normalizer_dihedral
 from symnorm.encode import NotInClass, code_to_group
-from symnorm.gfp import BudgetExceeded, FpMatrix, InvariantViolation, matrix_rank
+from symnorm.gfp import (
+    BudgetExceeded,
+    FpMatrix,
+    InvariantViolation,
+    is_prime,
+    matrix_rank,
+)
 from symnorm.oracle import brute_normalizer
 from symnorm.perm import PermGroup, Permutation, format_group, parse_group
 from symnorm.search import (
@@ -124,6 +130,8 @@ def gen_instance(
     over F_2; both parts are redrawn until no orbit is left untouched, so
     every restriction is genuinely dihedral.
     """
+    if not is_prime(p):
+        raise ValueError(f"p must be prime, got {p}")
     rng = random.Random(seed)
     if not dihedral:
         m = random_full_rank(rng, p, k, dim)
@@ -323,8 +331,6 @@ def _config_from_args(args) -> SearchConfig:
                 f"unknown pruning rule {rule!r}; known: {', '.join(PRUNE_FLAGS)}"
             )
         setattr(cfg, flag, False)
-    if args.weight_gate is not None:
-        cfg.weight_gate = args.weight_gate
     if args.time_limit is not None:
         cfg.time_limit = args.time_limit
     return cfg
@@ -353,7 +359,6 @@ def main(argv=None) -> int:
         default="full",
     )
     c.add_argument("--no-prune", action="append", metavar="RULE")
-    c.add_argument("--weight-gate", type=int, default=None)
     c.add_argument("--time-limit", type=float, default=None)
     c.add_argument("--json", action="store_true")
 

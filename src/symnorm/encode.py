@@ -383,7 +383,7 @@ def equivalent_orbit_swaps(
     swaps exchanging its least orbit with each later one."""
     p = inst.p
     out = []
-    for cell in column_equiv_classes(mat, allow_zero=True).cells:
+    for cell in column_equiv_classes(mat):
         lead = [next((x for x in mat.col(j) if x), 1) for j in cell]
         inv = pow(lead[0], p - 2, p)
         swaps = [

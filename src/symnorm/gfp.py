@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -68,25 +69,14 @@ class PrimeField:
     """The field F_p together with a fixed primitive element t."""
 
     p: int
-    t: int = 0
 
     def __post_init__(self):
         if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
-        if self.t == 0:
-            object.__setattr__(self, "t", primitive_root(self.p))
-        if pow(self.t, self.p - 1, self.p) != 1 or self.order_of(self.t) != self.p - 1:
-            raise ValueError(f"{self.t} is not primitive mod {self.p}")
 
-    def order_of(self, a: int) -> int:
-        a %= self.p
-        if a == 0:
-            raise ValueError("0 has no multiplicative order")
-        x, n = a, 1
-        while x != 1:
-            x = x * a % self.p
-            n += 1
-        return n
+    @cached_property
+    def t(self) -> int:
+        return primitive_root(self.p)
 
 
 @dataclass(frozen=True)
@@ -169,23 +159,15 @@ def row_combination(coeffs, m: FpMatrix) -> tuple[int, ...]:
 
 
 def mat_inverse(a: FpMatrix) -> FpMatrix:
-    """Inverse of a square matrix, by row reduction of [a | I]."""
+    """Inverse of a square matrix: the right half of the reduced [a | I]."""
     if a.s != a.k:
         raise ValueError("not square")
     p, n = a.p, a.s
-    work = [list(r) + [1 if i == j else 0 for j in range(n)] for i, r in enumerate(a.rows)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if work[i][col]), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        work[col], work[piv] = work[piv], work[col]
-        inv = pow(work[col][col], p - 2, p)
-        work[col] = [x * inv % p for x in work[col]]
-        for i in range(n):
-            if i != col and work[i][col]:
-                f = work[i][col]
-                work[i] = [(x - f * y) % p for x, y in zip(work[i], work[col])]
-    return FpMatrix.from_rows(p, [r[n:] for r in work], n)
+    ident = identity_matrix(p, n).rows
+    res = rref_standard(FpMatrix(p, 2 * n, tuple(r + e for r, e in zip(a.rows, ident))))
+    if not res.is_standard:
+        raise ValueError("singular matrix")
+    return FpMatrix(p, n, tuple(r[n:] for r in res.mstd.rows))
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +178,6 @@ def mat_inverse(a: FpMatrix) -> FpMatrix:
 class RrefResult:
     mstd: FpMatrix
     pivots: tuple[int, ...]  # 1-based column indices
-    row_transform: FpMatrix  # row_transform . input == mstd
 
     @property
     def is_standard(self) -> bool:
@@ -204,7 +185,7 @@ class RrefResult:
 
 
 def rref_standard(m: FpMatrix) -> RrefResult:
-    """Reduced row echelon form with the transform that produces it.
+    """Reduced row echelon form and its pivot columns.
 
     The input rows must form a basis of their span: rank-deficient input is
     rejected so callers cannot silently lose track of the code dimension.
@@ -213,7 +194,6 @@ def rref_standard(m: FpMatrix) -> RrefResult:
     if s == 0 or all(all(x == 0 for x in r) for r in m.rows):
         raise ValueError("zero matrix: the trivial code has no generator matrix")
     work = [list(r) for r in m.rows]
-    trans = [[1 if i == j else 0 for j in range(s)] for i in range(s)]
     pivots = []
     r = 0
     for col in range(k):
@@ -223,58 +203,17 @@ def rref_standard(m: FpMatrix) -> RrefResult:
         if piv is None:
             continue
         work[r], work[piv] = work[piv], work[r]
-        trans[r], trans[piv] = trans[piv], trans[r]
         inv = pow(work[r][col], p - 2, p)
         work[r] = [x * inv % p for x in work[r]]
-        trans[r] = [x * inv % p for x in trans[r]]
         for i in range(s):
             if i != r and work[i][col]:
                 f = work[i][col]
                 work[i] = [(x - f * y) % p for x, y in zip(work[i], work[r])]
-                trans[i] = [(x - f * y) % p for x, y in zip(trans[i], trans[r])]
         pivots.append(col + 1)
         r += 1
     if r < s:
         raise ValueError("rank-deficient input: rows are not a basis")
-    return RrefResult(
-        FpMatrix.from_rows(p, work, k),
-        tuple(pivots),
-        FpMatrix.from_rows(p, trans, s),
-    )
-
-
-def independent_rows(p: int, vectors) -> list[tuple[int, ...]]:
-    """Subset of the given vectors forming a basis of their span (greedy)."""
-    basis: list[list[int]] = []  # echelonized copies
-    picked: list[tuple[int, ...]] = []
-    for v in vectors:
-        w = [x % p for x in v]
-        for b in basis:
-            lead = next(i for i, x in enumerate(b) if x)
-            if w[lead]:
-                f = w[lead]
-                w = [(x - f * y) % p for x, y in zip(w, b)]
-        if any(w):
-            lead = next(i for i, x in enumerate(w) if x)
-            inv = pow(w[lead], p - 2, p)
-            basis.append([x * inv % p for x in w])
-            picked.append(tuple(x % p for x in v))
-    return picked
-
-
-def matrix_rank(m: FpMatrix) -> int:
-    return len(independent_rows(m.p, m.rows))
-
-
-def in_row_space(v, m: FpMatrix) -> bool:
-    """Membership in the row space of an arbitrary (not nec. standard) matrix."""
-    if len(v) != m.k:
-        raise ValueError("length mismatch")
-    vv = tuple(x % m.p for x in v)
-    if not any(vv):
-        return True
-    rows = list(m.rows) + [vv]
-    return len(independent_rows(m.p, rows)) == matrix_rank(m)
+    return RrefResult(FpMatrix.from_rows(p, work, k), tuple(pivots))
 
 
 class VectorSpan:
@@ -296,6 +235,7 @@ class VectorSpan:
         return w
 
     def add(self, v) -> bool:
+        """Extend the span by v; False when v already lies in it."""
         w = self._reduce(v)
         if not any(w):
             return False
@@ -306,6 +246,23 @@ class VectorSpan:
 
     def contains(self, v) -> bool:
         return not any(self._reduce(v))
+
+
+def independent_rows(p: int, vectors) -> list[tuple[int, ...]]:
+    """Subset of the given vectors forming a basis of their span (greedy)."""
+    span = VectorSpan(p)
+    return [tuple(x % p for x in v) for v in vectors if span.add(v)]
+
+
+def matrix_rank(m: FpMatrix) -> int:
+    return len(VectorSpan(m.p, m.rows).rows)
+
+
+def in_row_space(v, m: FpMatrix) -> bool:
+    """Membership in the row space of an arbitrary (not nec. standard) matrix."""
+    if len(v) != m.k:
+        raise ValueError("length mismatch")
+    return VectorSpan(m.p, m.rows).contains(v)
 
 
 def dual_matrix(mstd: FpMatrix) -> FpMatrix:
@@ -344,40 +301,6 @@ def member_row_space(v, mstd: FpMatrix) -> tuple[int, ...] | None:
     return None
 
 
-# ---------------------------------------------------------------------------
-# partitions of {1..m}
-
-
-@dataclass(frozen=True)
-class Partition:
-    """A partition of {1..size} with canonical cell ordering."""
-
-    size: int
-    cells: tuple[tuple[int, ...], ...]
-
-    @classmethod
-    def from_cells(cls, size: int, cells) -> "Partition":
-        norm = tuple(sorted(tuple(sorted(c)) for c in cells if c))
-        seen = [x for c in norm for x in c]
-        if sorted(seen) != list(range(1, size + 1)):
-            raise ValueError("cells do not partition {1..size}")
-        return cls(size, norm)
-
-    @classmethod
-    def from_keys(cls, keys) -> "Partition":
-        """Group positions 1..len(keys) by equal key."""
-        buckets: dict = {}
-        for i, key in enumerate(keys, start=1):
-            buckets.setdefault(key, []).append(i)
-        return cls.from_cells(len(keys), buckets.values())
-
-    def cell_map(self) -> dict[int, tuple[int, ...]]:
-        return {x: c for c in self.cells for x in c}
-
-    def cell_of(self, i: int) -> tuple[int, ...]:
-        return self.cell_map()[i]
-
-
 def normalized_column(col, p: int) -> tuple[int, ...]:
     """Scale so the first nonzero entry is 1; the zero column stays zero."""
     lead = next((x for x in col if x), 0)
@@ -387,24 +310,13 @@ def normalized_column(col, p: int) -> tuple[int, ...]:
     return tuple(x * inv % p for x in col)
 
 
-def column_equiv_classes(m: FpMatrix, allow_zero: bool = False) -> Partition:
-    """Columns grouped by equality up to nonzero scaling.
-
-    Zero columns are rejected by default (a zero column means one orbit
-    carries no action, which the callers treat as a structural error); with
-    allow_zero they form a single shared cell, as needed for stabiliser and
-    dual codes.
-    """
-    keys = []
+def column_equiv_classes(m: FpMatrix) -> tuple[tuple[int, ...], ...]:
+    """Columns (1-based) grouped by equality up to nonzero scaling, zero
+    columns forming one class; classes in order of their least column."""
+    classes: dict[tuple[int, ...], list[int]] = {}
     for j in range(1, m.k + 1):
-        col = m.col(j)
-        if not any(col):
-            if not allow_zero:
-                raise ValueError(f"column {j} is zero")
-            keys.append(("zero",))
-        else:
-            keys.append(normalized_column(col, m.p))
-    return Partition.from_keys(keys)
+        classes.setdefault(normalized_column(m.col(j), m.p), []).append(j)
+    return tuple(tuple(c) for c in classes.values())
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,11 @@ from symnorm.gfp import (
 from symnorm.perm import PermGroup, Permutation, StabChain, orbit_of
 
 
+# compare_stabs compares weight enumerators only while the remaining code
+# dimension times p is at most this: a fixed heuristic, not a measured rule
+WEIGHT_GATE = 45
+
+
 class SearchTimeout(Exception):
     """The configured wall-clock limit was hit mid-search."""
 
@@ -60,7 +65,6 @@ class SearchConfig:
     use_deep: bool = True
     use_alldiff: bool = True
     use_dual_partitions: bool = True
-    weight_gate: int = 45
     time_limit: float | None = None  # seconds
 
 
@@ -283,7 +287,6 @@ def compare_stabs(
     alpha,
     doms,
     gate_dim: int | None = None,
-    weight_gate: int = 45,
     wcache: dict | None = None,
 ) -> tuple[bool, list[set[int]]]:
     """Compare stabiliser codes of the assigned orbits and their images:
@@ -301,7 +304,7 @@ def compare_stabs(
     for i in range(d + 1, mstab.k + 1):
         want = src_sizes[i - 1]
         doms[i - 1] = {j for j in doms[i - 1] if im_sizes[j - 1] == want}
-    if gate_dim is not None and gate_dim * mstab.p <= weight_gate:
+    if gate_dim is not None and gate_dim * mstab.p <= WEIGHT_GATE:
         if wcache is None:
             wcache = {}
         w1 = wcache.get(mstab.rows)
@@ -478,7 +481,6 @@ class _Search:
                     alpha,
                     doms,
                     gate_dim=self.s - d,
-                    weight_gate=cfg.weight_gate,
                     wcache=self.wcache,
                 )
                 if not ok:
@@ -491,7 +493,6 @@ class _Search:
                         alpha,
                         doms,
                         gate_dim=(self.k - self.s) - d,
-                        weight_gate=cfg.weight_gate,
                         wcache=self.wcache,
                     )
                     if not ok:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -177,6 +181,20 @@ class TestMain:
         main(["gen", "--p", "2", "--k", "2", "--dim", "1", "--seed", "0",
               "--out", str(path)])
         assert main(["compute", "--in", str(path), "--no-prune", "bogus"]) == 2
+
+    @pytest.mark.parametrize("p", [0, 1, 4])
+    def test_gen_rejects_non_prime_p(self, p):
+        # in a child process with a timeout: an unchecked p=1 redraws forever
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "symnorm.cli", "gen", "--p", str(p), "--k", "3",
+             "--dim", "1"],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert done.returncode == 2
+        assert "prime" in done.stderr
 
     def test_bench_command(self, capsys):
         assert main(["bench", "--family", "p=2,k=3,dim=2", "--trials", "2",

@@ -1,4 +1,5 @@
-"""Source hygiene: every imported name is read somewhere in its module.
+"""Source hygiene: every imported name is read somewhere in its module,
+and every public name the package defines is used by the package.
 
 Package re-exports (``__init__.py``) and ``from __future__`` imports are
 exempt.  The acceptance gate is kept byte for byte, so its one known
@@ -18,6 +19,18 @@ FILES = sorted(
 )
 
 KNOWN = {"test_acceptance.py": ["full_search (line 35)"]}
+
+# public names that only tests use, kept on purpose
+TEST_ONLY = {
+    # the brute-force references the acceptance and unit tests compare against
+    "brute_canon_rep": "oracle",
+    "brute_maut": "oracle",
+    "brute_normalizer_elements": "oracle",
+    # acceptance criteria 4 and 5 check results in these terms
+    "in_row_space": "row-space membership for a matrix not in standard form",
+    "gamma_map": "the exponent-vector image of an overgroup element",
+    "exponent_scaling_perm": "the point permutation of a pure exponent scaling",
+}
 
 
 def unused_imports(tree: ast.AST) -> list[str]:
@@ -45,3 +58,40 @@ def test_no_unused_imports(path):
 def test_detects_an_unused_import():
     tree = ast.parse("import os\nimport sys\nfrom a import b as c\nprint(sys)\n")
     assert unused_imports(tree) == ["os (line 1)", "c (line 3)"]
+
+
+def unreferenced_public_names(sources: dict[str, str]) -> list[str]:
+    """Public functions, classes and methods defined in the given modules
+    whose name is read nowhere in them apart from the definition."""
+    defined, read = [], set()
+    for name, text in sources.items():
+        tree = ast.parse(text)
+        for node in tree.body:
+            items = [node, *node.body] if isinstance(node, ast.ClassDef) else [node]
+            defined += [
+                item.name
+                for item in items
+                if isinstance(item, (ast.FunctionDef, ast.ClassDef))
+                and not item.name.startswith("_")
+            ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return sorted(set(defined) - read)
+
+
+def test_every_public_name_is_used_by_the_package():
+    src = [p for p in FILES if p.parent.name == "symnorm"]
+    sources = {p.name: p.read_text() for p in src}
+    assert unreferenced_public_names(sources) == sorted(TEST_ONLY)
+
+
+def test_detects_an_unreferenced_name():
+    sources = {
+        "a.py": "def used(): pass\ndef unused(): pass\n"
+        "class C:\n    def m(self): pass\n",
+        "b.py": "from a import used\nused()\n",
+    }
+    assert unreferenced_public_names(sources) == ["C", "m", "unused"]
