@@ -100,9 +100,13 @@ def permuted_code_matrix(inst: InPInstance, pi: Permutation) -> FpMatrix:
     return inst.matrix.permute_columns(order)
 
 
-def kappa_feasible(inst: InPInstance, pi: Permutation) -> Permutation | None:
+def kappa_feasible(
+    inst: InPInstance, pi: Permutation, own: CanonResult | None = None
+) -> Permutation | None:
     """An orbit-fixing element b completing the orbit permutation pi to a
-    normalising element, or None when no such element exists.
+    normalising element, or None when no such element exists.  own is
+    canonical_rep(inst.matrix), which a caller testing many pi computes
+    once; it is computed here when not given.
 
     The permuted code is re-reduced; if its pivots move away from the
     leading columns, no column scaling can align the two codes (the rank
@@ -117,7 +121,8 @@ def kappa_feasible(inst: InPInstance, pi: Permutation) -> Permutation | None:
     reduced = rref_standard(permuted)
     if not reduced.is_standard:
         return None
-    own = canonical_rep(inst.matrix)
+    if own is None:
+        own = canonical_rep(inst.matrix)
     other = canonical_rep(reduced.mstd)
     if own.rep != other.rep:
         return None

@@ -330,11 +330,24 @@ class WeightEnumerator:
     counts: tuple[int, ...]
 
 
-def _coefficient_grid(p: int, r: int, nonzero: bool) -> np.ndarray:
-    """All coefficient tuples of length r, entries in F_p (or F_p^*)."""
+# head-tail pairs weighed per numpy step in weight_enumerator; bounds its
+# temporaries to this many words
+_PAIR_CHUNK = 1 << 13
+
+
+def _coefficient_grid(p: int, r: int, nonzero: bool = False) -> np.ndarray:
+    """All coefficient tuples of length r, entries in F_p (or F_p^*), in
+    lexicographic order; r = 0 gives the one empty tuple."""
     vals = np.arange(1, p) if nonzero else np.arange(p)
-    grids = np.meshgrid(*([vals] * r), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=1)
+    return vals[np.indices((len(vals),) * r).reshape(r, len(vals) ** r).T]
+
+
+def _leading_one(grid: np.ndarray) -> np.ndarray:
+    """Mask of the rows whose first nonzero entry is 1: one row for each
+    class of nonzero rows under scaling."""
+    nz = grid != 0
+    first = np.where(nz & (nz.cumsum(axis=1) == 1), grid, 0).sum(axis=1)
+    return first == 1
 
 
 def min_weight_vectors(mstd: FpMatrix) -> tuple[int, set[tuple[int, ...]]]:
@@ -376,10 +389,18 @@ def min_weight_vectors(mstd: FpMatrix) -> tuple[int, set[tuple[int, ...]]]:
 
 
 def weight_enumerator(mstd: FpMatrix, budget: int = 1 << 20) -> WeightEnumerator | None:
-    """Weight distribution by full enumeration of the p^s codewords.
+    """Weight distribution of the p^s codewords of the row space of mstd.
 
     Returns None when p^s exceeds the budget; callers treat that as a
     refusal and skip whatever test needed the enumerator.
+
+    Words v and c.v have equal weight, so one word per scalar class is
+    enumerated (coefficient vectors whose first nonzero entry is 1) and the
+    histogram is multiplied by p - 1.  The coefficients split into a head
+    and a tail: the classes are every projective head word plus every tail
+    word, and every projective tail word alone.  A sum h + t vanishes in a
+    coordinate exactly where h equals -t, so pairs are weighed by comparing
+    against the negated tail words, with no reduction mod p.
     """
     p, s, k = mstd.p, mstd.s, mstd.k
     if s == 0:
@@ -387,18 +408,22 @@ def weight_enumerator(mstd: FpMatrix, budget: int = 1 << 20) -> WeightEnumerator
     if p**s > budget:
         return None
     rows = np.array(mstd.rows, dtype=np.int64)
-    lo = min(s, max(1, s // 2))
-    head = _coefficient_grid(p, lo, nonzero=False) @ rows[:lo] % p
-    hist = np.zeros(k + 1, dtype=np.int64)
-    if lo == s:
-        hist += np.bincount(np.count_nonzero(head, axis=1), minlength=k + 1)
-    else:
-        tail_coeffs = _coefficient_grid(p, s - lo, nonzero=False)
-        for tc in tail_coeffs:
-            word = tc @ rows[lo:] % p
-            block = (head + word) % p
-            hist += np.bincount(np.count_nonzero(block, axis=1), minlength=k + 1)
-    return WeightEnumerator(tuple(int(x) for x in hist[1 : k + 1]))
+    rows = rows[:, rows.any(axis=0)]  # zero columns add no weight
+    dtype = np.min_scalar_type(p - 1)
+    lo = s // 2 + 1  # the head, cut down by the scalar, takes the larger half
+    head_grid = _coefficient_grid(p, lo)
+    head = (head_grid[_leading_one(head_grid)] @ rows[:lo] % p).astype(dtype)
+    tail_grid = _coefficient_grid(p, s - lo)
+    tail = tail_grid @ rows[lo:] % p
+    hist = np.bincount(
+        np.count_nonzero(tail[_leading_one(tail_grid)], axis=1), minlength=k + 1
+    )
+    neg_tail = ((p - tail) % p).astype(dtype)
+    step = max(1, _PAIR_CHUNK // len(head))
+    for start in range(0, len(neg_tail), step):
+        block = neg_tail[start : start + step, None, :] != head[None, :, :]
+        hist += np.bincount(np.count_nonzero(block, axis=2).ravel(), minlength=k + 1)
+    return WeightEnumerator(tuple(int(x) * (p - 1) for x in hist[1 : k + 1]))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from itertools import product
 from math import factorial, prod
 
-from symnorm.canon import kappa_feasible
+from symnorm.canon import CanonResult, canonical_rep, kappa_feasible
 from symnorm.encode import (
     InPInstance,
     NotInClass,
@@ -37,6 +37,7 @@ from symnorm.gfp import (
     FpMatrix,
     InvariantViolation,
     VectorSpan,
+    column_equiv_classes,
     mat_inverse,
     mat_mul,
     member_row_space,
@@ -168,15 +169,15 @@ def _dual_mirror(inst: InPInstance, l: Permutation) -> Permutation:
 # domain initialisation
 
 
-def _column_class_sizes(m: FpMatrix) -> tuple[tuple, list[int]]:
-    """Class sizes of columns under equality-up-to-scaling, zero columns
-    sharing one class: (sorted multiset, per-column size)."""
-    keys = [normalized_column(m.col(j), m.p) for j in range(1, m.k + 1)]
-    counts: dict = {}
-    for key in keys:
-        counts[key] = counts.get(key, 0) + 1
-    per_col = [counts[key] for key in keys]
-    return tuple(sorted(counts.values())), per_col
+def _class_sizes(m: FpMatrix) -> tuple[tuple[int, ...], list[int]]:
+    """Sizes of the column classes of m (gfp.column_equiv_classes): the
+    sorted multiset, and the size of each column's class."""
+    classes = column_equiv_classes(m)
+    per_col = [0] * m.k
+    for cell in classes:
+        for j in cell:
+            per_col[j - 1] = len(cell)
+    return tuple(sorted(len(cell) for cell in classes)), per_col
 
 
 def _min_weight_incidence(m: FpMatrix) -> list[int]:
@@ -220,14 +221,12 @@ def domains_init(
     # stabiliser class-size profiles, for the code and its dual
     profiles = []
     for j in range(1, k + 1):
-        multiset, _ = _column_class_sizes(eliminate_column(inst.matrix, j))
-        profiles.append(multiset)
+        profiles.append(_class_sizes(eliminate_column(inst.matrix, j))[0])
     keyparts.append(profiles)
     if cfg.use_dual_partitions and inst.dual.s:
         dual_profiles = []
         for j in range(1, k + 1):
-            multiset, _ = _column_class_sizes(eliminate_column(inst.dual, j))
-            dual_profiles.append(multiset)
+            dual_profiles.append(_class_sizes(eliminate_column(inst.dual, j))[0])
         keyparts.append(dual_profiles)
 
     # minimum-weight codeword incidence counts
@@ -283,6 +282,7 @@ def check_lds(mat: FpMatrix, ld_sets, alpha, doms) -> tuple[bool, list[set[int]]
 
 def compare_stabs(
     mstab: FpMatrix,
+    src_sizes: tuple[tuple[int, ...], list[int]],
     mstab_im: FpMatrix,
     alpha,
     doms,
@@ -292,18 +292,19 @@ def compare_stabs(
     """Compare stabiliser codes of the assigned orbits and their images:
     fail on mismatched dimensions or class-size multisets, refine the
     domains of unassigned orbits by class size, and, when the heuristic
-    gate admits, fail on differing weight enumerators."""
+    gate admits, fail on differing weight enumerators.  src_sizes is
+    _class_sizes(mstab), which the search computes once per depth."""
     doms = [set(x) for x in doms]
     if mstab.s != mstab_im.s:
         return False, doms
-    src_multiset, src_sizes = _column_class_sizes(mstab)
-    im_multiset, im_sizes = _column_class_sizes(mstab_im)
+    src_multiset, src_per_col = src_sizes
+    im_multiset, im_per_col = _class_sizes(mstab_im)
     if src_multiset != im_multiset:
         return False, doms
     d = len(alpha)
     for i in range(d + 1, mstab.k + 1):
-        want = src_sizes[i - 1]
-        doms[i - 1] = {j for j in doms[i - 1] if im_sizes[j - 1] == want}
+        want = src_per_col[i - 1]
+        doms[i - 1] = {j for j in doms[i - 1] if im_per_col[j - 1] == want}
     if gate_dim is not None and gate_dim * mstab.p <= WEIGHT_GATE:
         if wcache is None:
             wcache = {}
@@ -390,6 +391,9 @@ class _Search:
         self.base_doms: list[set[int]] = []
         self.src_stabs: list[FpMatrix] = []
         self.src_stabs_dual: list[FpMatrix] = []
+        self.col_lookup: dict[tuple[int, ...], int] = {}
+        self.col_lead_inv: dict[int, int] = {}
+        self.own_rep: CanonResult | None = None
 
     # -- helpers -------------------------------------------------------
 
@@ -443,6 +447,20 @@ class _Search:
             self.src_stabs_dual.append(
                 eliminate_column(self.src_stabs_dual[-1], dpth)
             )
+        self.src_sizes = [_class_sizes(m) for m in self.src_stabs]
+        self.src_sizes_dual = [_class_sizes(m) for m in self.src_stabs_dual]
+
+        if self.method == "limitdepth":
+            # the non-pivot columns by normalised form, with the inverse of
+            # their leading entry, for matching scaled image columns
+            for t in range(self.s + 1, self.k + 1):
+                col = inst.matrix.col(t)
+                key = normalized_column(col, self.p)
+                if key in self.col_lookup:
+                    raise NotInClass("orbits must be pairwise inequivalent")
+                self.col_lookup[key] = t
+                lead = next(x for x in col if x)
+                self.col_lead_inv[t] = pow(lead, self.p - 2, self.p)
 
         self._recurse((), doms, inst.matrix, inst.dual)
 
@@ -477,6 +495,7 @@ class _Search:
             if cfg.use_stabs:
                 ok, doms = compare_stabs(
                     self.src_stabs[d],
+                    self.src_sizes[d],
                     im_stab,
                     alpha,
                     doms,
@@ -489,6 +508,7 @@ class _Search:
                 if inst.dual.s:
                     ok, doms = compare_stabs(
                         self.src_stabs_dual[d],
+                        self.src_sizes_dual[d],
                         im_stab_dual,
                         alpha,
                         doms,
@@ -535,7 +555,9 @@ class _Search:
         if not self._kappa_allowed(pi):
             self.stats["leaf_outside_target"] += 1
             return None
-        b = kappa_feasible(self.inst, pi)
+        if self.own_rep is None:
+            self.own_rep = canonical_rep(self.inst.matrix)
+        b = kappa_feasible(self.inst, pi, self.own_rep)
         if b is None:
             self.stats["leaf_infeasible"] += 1
             return None
@@ -546,9 +568,14 @@ class _Search:
     # -- the depth-limited variant ---------------------------------------
 
     def _limit_depth_node(self, alpha, doms):
-        """Enumerate all scalings of the assigned pivot images; each one
+        """Enumerate the scalings of the assigned pivot images; each one
         determines the whole code image, which either matches the remaining
-        columns bijectively (up to scalars) or dies."""
+        columns bijectively (up to scalars) or dies.
+
+        Scalings v and c.v give the same orbit permutation, and only the
+        first v found for each one is kept.  That v is the least of its
+        class, whose first entry is 1, so only those scalings are tried:
+        the same elements are added in the same order."""
         inst = self.inst
         p, s, k = self.p, self.s, self.k
         self.stats["depth_nodes"] += 1
@@ -563,20 +590,13 @@ class _Search:
             self.stats["depth_singular"] += 1
             return
         base = mat_mul(ainv, inst.matrix)  # the image code rows, up to row scalings
-
-        col_lookup = {}
-        col_lead = {}
-        for t in range(s + 1, k + 1):
-            key = normalized_column(inst.matrix.col(t), p)
-            if key in col_lookup:
-                raise NotInClass("orbits must be pairwise inequivalent")
-            col_lookup[key] = t
-            col_lead[t] = next(x for x in inst.matrix.col(t) if x)
+        col_lookup, col_lead_inv = self.col_lookup, self.col_lead_inv
         free_positions = [j for j in range(1, k + 1) if j not in set(alpha)]
         base_cols = {j: base.col(j) for j in free_positions}
 
         seen_kappas = set()
-        for v in product(range(1, p), repeat=s):
+        for rest in product(range(1, p), repeat=s - 1):
+            v = (1,) + rest
             self._tick()
             images = list(alpha) + [0] * (k - s)
             diag = list(v) + [0] * (k - s)
@@ -590,7 +610,7 @@ class _Search:
                     break
                 lead = next(x for x in col if x)
                 images[t - 1] = j
-                diag[t - 1] = lead * pow(col_lead[t], p - 2, p) % p
+                diag[t - 1] = lead * col_lead_inv[t] % p
             if not ok:
                 continue
             kappa_imgs = tuple(images)

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from symnorm.gfp import (
@@ -37,6 +38,16 @@ except ImportError:
 
 def M(p, rows):
     return FpMatrix.from_rows(p, rows)
+
+
+def brute_weights(p, rows, k):
+    """Weight counts of the words of all p^s coefficient vectors, each
+    reduced mod p."""
+    s = len(rows)
+    coeffs = np.array(list(itertools.product(range(p), repeat=s)), dtype=np.int64)
+    words = coeffs.reshape(p**s, s) @ np.array(rows, dtype=np.int64).reshape(s, k) % p
+    hist = np.bincount(np.count_nonzero(words, axis=1), minlength=k + 1)
+    return tuple(int(x) for x in hist[1:])
 
 
 def same_row_space(a, b):
@@ -267,6 +278,42 @@ class TestWeightEnumerator:
     def test_budget_refusal(self):
         m = identity_matrix(2, 30)
         assert weight_enumerator(m, budget=1 << 20) is None
+
+    def test_budget_boundary(self):
+        # the refusal tests p^s, not the number of words enumerated
+        m = identity_matrix(3, 4)
+        assert weight_enumerator(m, budget=81).counts == (8, 24, 32, 16)
+        assert weight_enumerator(m, budget=80) is None
+
+    def test_head_only(self):
+        # s = 1 and s = 2: the head covers every row and there is no tail
+        assert weight_enumerator(M(5, [[2, 0, 3, 0]])).counts == (0, 4, 0, 0)
+        assert weight_enumerator(M(3, [[1, 0, 1], [0, 1, 1]])).counts == (0, 6, 2)
+        assert weight_enumerator(M(3, [[1, 1, 1], [2, 2, 2]])).counts == (0, 0, 6)
+        # entries beyond one byte
+        assert weight_enumerator(M(257, [[1, 256, 0]])).counts == (0, 256, 0)
+
+    def test_against_brute_force(self):
+        # rows neither in standard form nor independent, with zero columns
+        rng = random.Random(37)
+        cases = [(p, s) for p in (2, 3, 5, 7, 11) for s in range(7)]
+        cases += [(2, 16), (3, 10)]  # several chunks of pairs
+        for p, s in cases:
+            for _ in range(3):
+                k = rng.randrange(max(1, s), s + 7)
+                rows = [[rng.randrange(p) for _ in range(k)] for _ in range(s)]
+                for j in range(k):
+                    if rng.random() < 0.2:
+                        for r in rows:
+                            r[j] = 0
+                m = FpMatrix.from_rows(p, rows, k)
+                if p**s > 1 << 20:  # 11^6: refused
+                    assert weight_enumerator(m) is None
+                    continue
+                assert weight_enumerator(m).counts == brute_weights(p, rows, k), (
+                    p,
+                    rows,
+                )
 
     def test_total_count(self):
         rng = random.Random(23)

@@ -20,11 +20,13 @@ from symnorm.gfp import (
     in_row_space,
     matrix_rank,
     member_row_space,
+    weight_enumerator,
 )
 from symnorm.oracle import brute_maut, brute_normalizer
 from symnorm.perm import PermGroup, Permutation
 from symnorm.search import (
     FoundGroup,
+    _class_sizes,
     SearchConfig,
     all_diff_refiner,
     build_ld_sets,
@@ -199,38 +201,40 @@ class TestCompareStabs:
     def test_identity_prefix_passes(self):
         inst = build_instance(e1_group(), 2)
         ok, doms = compare_stabs(
-            inst.matrix, inst.matrix, (), [{1, 2, 3}] * 3, gate_dim=None
+            inst.matrix,
+            _class_sizes(inst.matrix),
+            inst.matrix,
+            (),
+            [{1, 2, 3}] * 3,
+            gate_dim=None,
         )
         assert ok and doms == [{1, 2, 3}] * 3
 
     def test_class_size_multiset_mismatch_fails(self):
         a = M(2, [[1, 0, 1, 1], [0, 1, 1, 0]])  # column classes {1,4},{2},{3}
         b = M(2, [[1, 0, 1, 1], [0, 1, 0, 0]])  # column classes {1,3,4},{2}
-        ok, _ = compare_stabs(a, b, (1,), [{1, 2, 3, 4}] * 4)
+        ok, _ = compare_stabs(a, _class_sizes(a), b, (1,), [{1, 2, 3, 4}] * 4)
         assert not ok
 
     def test_weight_enumerator_gate(self):
         # equal class-size profiles, different weight distributions
         a = M(2, [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0]])
         b = M(2, [[1, 0, 0, 0, 0], [0, 1, 0, 1, 1]])
-        from symnorm.search import _column_class_sizes
-
-        assert _column_class_sizes(a)[0] == _column_class_sizes(b)[0]
-        from symnorm.gfp import weight_enumerator
-
+        sizes = _class_sizes(a)
+        assert sizes[0] == _class_sizes(b)[0]
         assert weight_enumerator(a) != weight_enumerator(b)
-        ok, _ = compare_stabs(a, b, (1,), [{1, 2, 3, 4, 5}] * 5, gate_dim=2)
+        ok, _ = compare_stabs(a, sizes, b, (1,), [{1, 2, 3, 4, 5}] * 5, gate_dim=2)
         assert not ok
         # with the gate closed the same pair passes
         ok2, _ = compare_stabs(
-            a, b, (1,), [{1, 2, 3, 4, 5}] * 5, gate_dim=99
+            a, sizes, b, (1,), [{1, 2, 3, 4, 5}] * 5, gate_dim=99
         )
         assert ok2
 
     def test_dimension_mismatch_fails(self):
         a = M(2, [[1, 0, 1], [0, 1, 1]])
         b = M(2, [[1, 0, 1]])
-        ok, _ = compare_stabs(a, b, (1,), [{1, 2, 3}] * 3)
+        ok, _ = compare_stabs(a, _class_sizes(a), b, (1,), [{1, 2, 3}] * 3)
         assert not ok
 
 
@@ -398,6 +402,18 @@ class TestLimitDepth:
             b = normalizer_in_sym(grp, p, method="limitdepth")
             assert a.order == b.order
 
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_cross_method_odd_primes(self, p):
+        # the depth-limited search tries one scaling per scalar class, so
+        # the classes are larger than at p = 2; dim 1 leaves a code with
+        # s = 1 once the equivalent orbits are collapsed
+        for k, dim in ((4, 1), (5, 2), (6, 3), (7, 4)):
+            for seed in range(2):
+                grp, _ = gen_instance(p, k, dim, seed)
+                full = normalizer_in_sym(grp, p, method="full")
+                ld = normalizer_in_sym(grp, p, method="limitdepth")
+                assert ld.order == full.order, (k, dim, seed)
+
 
 class TestPruningSafety:
     def test_toggles_do_not_change_result(self):
@@ -476,7 +492,7 @@ class TestVerification:
     # kappa_feasible stops the pipeline with the named exception
     @pytest.mark.parametrize("wrong", ["outside_overgroup", "not_normalising"])
     def test_wrong_lift_raises(self, monkeypatch, wrong):
-        def bad_feasible(inst, pi):
+        def bad_feasible(inst, pi, own=None):
             if wrong == "outside_overgroup":
                 cyc = inst.orbit_cycles[0]
                 return Permutation.from_cycles(inst.degree, [(cyc[1], cyc[2])])
