@@ -78,24 +78,28 @@ class NormalizerResult:
 
 
 class FoundGroup:
-    """The group of normalising elements found so far, tracked both on
-    points (for order and membership) and on orbit indices (for the
-    minimality pruning test).  Every new generator g is verified: it must
-    lie in the overgroup, and w = xi_image(g) must map each code row into
-    the code.  Conjugation by g sends exponent vector v to w.apply(v), so
-    this says g conjugates every standard generator into the group."""
+    """The group of normalising elements found so far, kept as its orbit
+    permutations on a chain over the k orbit indices.  Every generator g is
+    verified: it lies in the overgroup, and w = xi_image(g), the action of
+    conjugation by g on exponent vectors, maps each code row into the code.
+    The kernel of g -> w.perm is known: for a normalising (id, scale, shift),
+    scale o r_i is a code word nonzero among the pivots only at column i, so
+    it is scale_i * r_i.  So scale is constant on each of the c components of
+    _support_components and the shift is free: norm_b, the starting
+    generators, gives all p^k (p-1)^c.  A verified g is in the group exactly
+    when w.perm is in the index chain; the order is p^k (p-1)^c |index group|."""
 
     def __init__(self, inst: InPInstance):
         self.inst = inst
         self.gens: list[Permutation] = []
-        self.chain = StabChain(inst.degree, ())
         self.index_chain = StabChain(
             inst.k, (), base_prefix=tuple(range(1, inst.k + 1))
         )
+        for g in norm_b(inst):
+            self.add(g)  # verifies g; its orbit permutation is the identity
+            self.gens.append(g)
 
     def add(self, g: Permutation) -> bool:
-        if g.is_identity() or self.chain.contains(g):
-            return False
         inst = self.inst
         try:
             w = xi_image(inst, g)
@@ -105,8 +109,9 @@ class FoundGroup:
             img = w.apply(row)  # a row mapped onto itself needs no test
             if img != row and member_row_space(img, inst.matrix) is None:
                 raise InvariantViolation("found element does not normalise the group")
+        if w.perm.is_identity() or self.index_chain.contains(w.perm):
+            return False
         self.gens.append(g)
-        self.chain.extend(g)
         self.index_chain.extend(w.perm)
         return True
 
@@ -114,7 +119,9 @@ class FoundGroup:
         return self.index_chain.orbit_under_stabilizer(prefix_len, pt)
 
     def order(self) -> int:
-        return self.chain.order()
+        inst = self.inst
+        c = len(_support_components(inst.matrix))
+        return inst.p**inst.k * (inst.p - 1) ** c * self.index_chain.order()
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +270,7 @@ def build_dual_ld_sets(dual: FpMatrix, s: int) -> list[tuple[int, ...]]:
     return out
 
 
-def check_lds(mat: FpMatrix, ld_sets, alpha, doms) -> tuple[bool, list[set[int]]]:
+def check_lds(mat: FpMatrix, ld_sets, alpha, doms) -> list[set[int]]:
     """Restrict the image of the single unassigned member of each dependent
     set to the span of the assigned members' image columns."""
     d = len(alpha)
@@ -277,7 +284,7 @@ def check_lds(mat: FpMatrix, ld_sets, alpha, doms) -> tuple[bool, list[set[int]]
         doms[target - 1] = {
             c for c in doms[target - 1] if span.contains(mat.col(c))
         }
-    return True, doms
+    return doms
 
 
 def compare_stabs(
@@ -422,8 +429,6 @@ class _Search:
     def run(self) -> NormalizerResult:
         inst, cfg = self.inst, self.cfg
         t0 = time.monotonic()
-        for g in norm_b(inst):
-            self.found.add(g)
         doms = domains_init(inst, self.found, cfg, kappa_gate=self._kappa_allowed)
         if self.kappa_group is not None:
             for i in range(self.k):
@@ -488,9 +493,9 @@ class _Search:
                     return None
 
             if cfg.use_lds:
-                _, doms = check_lds(inst.matrix, self.ld_sets, alpha, doms)
+                doms = check_lds(inst.matrix, self.ld_sets, alpha, doms)
                 if self.ld_sets_dual:
-                    _, doms = check_lds(inst.dual, self.ld_sets_dual, alpha, doms)
+                    doms = check_lds(inst.dual, self.ld_sets_dual, alpha, doms)
 
             if cfg.use_stabs:
                 ok, doms = compare_stabs(

@@ -14,6 +14,14 @@ from symnorm.perm import (
     restrict_to,
 )
 
+try:
+    from hypothesis import given, settings, strategies as st
+    from sympy.combinatorics import Permutation as SympyPermutation
+
+    HAVE_ORACLES = True
+except ImportError:
+    HAVE_ORACLES = False
+
 
 def P(n, *cycles):
     return Permutation.from_cycles(n, cycles)
@@ -285,3 +293,63 @@ class TestGroupText:
     def test_parse_error_names_line(self):
         with pytest.raises(ValueError, match="line 3"):
             parse_group("2 4\n(1 2)\n(1 9)")
+
+
+if HAVE_ORACLES:
+    # degree ranges of the two backings: a byte table up to 256, tuples above
+    BACKINGS = {"bytes": (1, 256), "tuple": (257, 300)}
+
+    @st.composite
+    def perm_pairs(draw, backing):
+        lo, hi = BACKINGS[backing]
+        pts = list(range(1, draw(st.integers(lo, hi)) + 1))
+        g = Permutation(draw(st.permutations(pts)))
+        h = Permutation(draw(st.permutations(pts)))
+        assert (g._b is not None) == (backing == "bytes")
+        return g, h
+
+    def to_sympy(g):
+        return SympyPermutation([x - 1 for x in g.images])
+
+    def from_sympy(q):
+        return tuple(x + 1 for x in q.array_form)
+
+    @pytest.mark.parametrize("backing", sorted(BACKINGS))
+    class TestAlgebraAgainstSympy:
+        """Permutation arithmetic on both backings against sympy, whose
+        product p*q likewise applies p first."""
+
+        @settings(max_examples=40, deadline=None)
+        @given(data=st.data())
+        def test_product_inverse_conj(self, backing, data):
+            g, h = data.draw(perm_pairs(backing))
+            sg, sh = to_sympy(g), to_sympy(h)
+            assert (g * h).images == from_sympy(sg * sh)
+            assert g.inverse().images == from_sympy(~sg)
+            assert g.conj(h).images == from_sympy(sg ^ sh)  # h^-1 g h
+
+        @settings(max_examples=40, deadline=None)
+        @given(data=st.data(), e=st.integers(-20, 20))
+        def test_power_and_image(self, backing, data, e):
+            g, _ = data.draw(perm_pairs(backing))
+            assert (g**e).images == from_sympy(to_sympy(g) ** e)
+            i = data.draw(st.integers(1, g.degree))
+            assert g.image(i) == to_sympy(g)(i - 1) + 1
+
+        @settings(max_examples=40, deadline=None)
+        @given(data=st.data())
+        def test_computed_equals_constructed(self, backing, data):
+            # products come from _from_table (bytes) or unchecked images
+            # (tuples); they must compare and hash like a constructed copy
+            g, h = data.draw(perm_pairs(backing))
+            for x in (g * h, g.inverse(), g.conj(h), g**-3):
+                y = Permutation(x.images)
+                assert x == y and hash(x) == hash(y)
+            assert (g * g.inverse()).is_identity()
+            assert g * g.inverse() == Permutation.identity(g.degree)
+
+        @settings(max_examples=40, deadline=None)
+        @given(data=st.data())
+        def test_cycle_string_round_trip(self, backing, data):
+            g, _ = data.draw(perm_pairs(backing))
+            assert parse_permutation(g.cycle_string(), g.degree) == g

@@ -3,8 +3,10 @@ import random
 
 import pytest
 
+import symnorm.dihedral as dihedral_module
 import symnorm.search as search_module
 from symnorm.cli import gen_instance
+from symnorm.dihedral import build_dihedral, normalizer_dihedral
 from symnorm.encode import (
     build_instance,
     code_to_group,
@@ -23,7 +25,7 @@ from symnorm.gfp import (
     weight_enumerator,
 )
 from symnorm.oracle import brute_maut, brute_normalizer
-from symnorm.perm import PermGroup, Permutation
+from symnorm.perm import PermGroup, Permutation, StabChain
 from symnorm.search import (
     FoundGroup,
     _class_sizes,
@@ -145,7 +147,9 @@ class TestDomainsInit:
                 assert member_row_space(
                     gamma_map(inst, x.conj(g)), inst.matrix
                 ) is not None
-        assert len(found.gens) == 2
+        # the k orbit gens of norm_b come first, then the two swaps
+        assert found.gens[: inst.k] == list(inst.orbit_gens)
+        assert len(found.gens) == inst.k + 2
 
     def test_k1(self):
         inst = build_instance(PermGroup.from_gens(3, [P(3, (1, 2, 3))]), 3)
@@ -176,15 +180,15 @@ class TestCheckLds:
         inst = build_instance(e1_group(), 2)
         lds = build_ld_sets(inst.matrix)
         assert lds == [(3, 1, 2)]
-        _, doms = check_lds(inst.matrix, lds, (1, 2), [{1, 2, 3}] * 3)
+        doms = check_lds(inst.matrix, lds, (1, 2), [{1, 2, 3}] * 3)
         assert doms[2] == {1, 2, 3}
-        _, doms = check_lds(inst.matrix, lds, (2, 1), [{1, 2, 3}] * 3)
+        doms = check_lds(inst.matrix, lds, (2, 1), [{1, 2, 3}] * 3)
         assert doms[2] == {1, 2, 3}
 
     def test_no_trigger_without_single_unassigned(self):
         inst = build_instance(e1_group(), 2)
         lds = build_ld_sets(inst.matrix)
-        _, doms = check_lds(inst.matrix, lds, (1,), [{1, 2, 3}] * 3)
+        doms = check_lds(inst.matrix, lds, (1,), [{1, 2, 3}] * 3)
         assert doms == [{1, 2, 3}] * 3
 
     def test_restriction_to_span(self):
@@ -192,7 +196,7 @@ class TestCheckLds:
         lds = build_ld_sets(m)
         assert lds == [(3, 1), (4, 1, 2)]
         # orbit 1 mapped to 2: the image of orbit 3 must lie in <col 2>
-        _, doms = check_lds(m, lds, (2,), [{1, 2, 3, 4}] * 4)
+        doms = check_lds(m, lds, (2,), [{1, 2, 3, 4}] * 4)
         assert doms[2] == {2}
         assert doms[3] == {1, 2, 3, 4}  # its set still has two unassigned
 
@@ -487,6 +491,90 @@ class TestKnownOrders:
         assert res.order == sympy_order(res.generators)
 
 
+def record_searches(monkeypatch) -> list:
+    """Record (instance, result, kappa_group) for every full_search and
+    limit_depth_search call, the pipelines' own calls included."""
+    runs = []
+    for name in ("full_search", "limit_depth_search"):
+        real = getattr(search_module, name)
+
+        def recording(inst, *args, _real=real, **kwargs):
+            res = _real(inst, *args, **kwargs)
+            runs.append((inst, res, kwargs.get("kappa_group")))
+            return res
+
+        monkeypatch.setattr(search_module, name, recording)
+        if hasattr(dihedral_module, name):
+            monkeypatch.setattr(dihedral_module, name, recording)
+    return runs
+
+
+ORDER_CASES = [
+    # plain: pairwise inequivalent orbits, no dual swap
+    (3, 7, 3, 1, "full"),
+    (5, 7, 3, 0, "full"),
+    (7, 7, 3, 0, "limitdepth"),
+    # equivalent orbits collapsed before the search
+    (2, 8, 4, 0, "full"),
+    (3, 6, 3, 0, "limitdepth"),
+    (7, 9, 2, 0, "full"),
+    # the search runs on the dual code
+    (3, 10, 2, 4, "full"),
+    (5, 8, 6, 1, "full"),
+    (3, 8, 5, 2, "full"),
+    (5, 6, 2, 0, "limitdepth"),
+    (5, 7, 5, 0, "limitdepth"),
+    # normalizer_dihedral: a p = 2 block search, then the rotation search
+    # restricted to a kappa group (c = k there, the rotation code is F_p^k)
+    (3, 6, 2, 0, "dihedral"),
+    (5, 5, 3, 0, "dihedral"),
+    (7, 4, 2, 1, "dihedral"),
+]
+
+
+class TestFoundGroupOrder:
+    """The search's order is the closed form p^k (p-1)^c |index group|; a
+    chain over its generators on all points, built here as the reference,
+    and sympy recompute it."""
+
+    @pytest.mark.parametrize("p,k,dim,seed,method", ORDER_CASES)
+    def test_closed_form_matches_chain_and_sympy(
+        self, monkeypatch, p, k, dim, seed, method
+    ):
+        runs = record_searches(monkeypatch)
+        grp, _ = gen_instance(p, k, dim, seed, dihedral=method == "dihedral")
+        if method == "dihedral":
+            normalizer_dihedral(build_dihedral(grp, p))
+            assert any(kappa is not None for _, _, kappa in runs)
+        else:
+            normalizer_in_sym(grp, p, method=method)
+        assert runs
+        for inst, res, _ in runs:
+            assert res.order == StabChain(inst.degree, res.generators).order()
+            assert res.order == sympy_order(res.generators)
+
+
+class TestIndexChainOnly:
+    """The found group lives on orbit indices: no chain the search builds
+    has degree above k."""
+
+    @pytest.mark.parametrize("p,k,dim,seed", [(3, 7, 3, 1), (5, 7, 3, 0), (7, 7, 3, 0)])
+    def test_no_chain_above_k(self, monkeypatch, p, k, dim, seed):
+        degrees = []
+        real = search_module.StabChain
+
+        def recording(degree, *args, **kwargs):
+            degrees.append(degree)
+            return real(degree, *args, **kwargs)
+
+        monkeypatch.setattr(search_module, "StabChain", recording)
+        inst = build_instance(gen_instance(p, k, dim, seed)[0], p)
+        for search in (full_search, limit_depth_search):
+            degrees.clear()
+            assert search(inst).stats["found"] >= 1
+            assert degrees and max(degrees) <= inst.k
+
+
 class TestVerification:
     # the found group verifies every new generator, so a wrong lift from
     # kappa_feasible stops the pipeline with the named exception
@@ -507,7 +595,8 @@ class TestVerification:
     def test_found_group_rejects_non_normalising(self):
         inst = build_instance(code_to_group(M(3, [[1, 0, 1], [0, 1, 1]])), 3)
         found = FoundGroup(inst)
-        assert found.add(inst.orbit_gens[0])
+        before = list(found.gens)
+        assert not found.add(inst.orbit_gens[0])  # preloaded from norm_b
         with pytest.raises(InvariantViolation):
             found.add(exponent_scaling_perm(inst, 0, 2))
-        assert found.gens == [inst.orbit_gens[0]]
+        assert found.gens == before
