@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import random
 import statistics
 import sys
@@ -332,8 +333,15 @@ def _config_from_args(args) -> SearchConfig:
             )
         setattr(cfg, flag, False)
     if args.time_limit is not None:
+        _check_seconds("--time-limit", args.time_limit, zero_ok=True)
         cfg.time_limit = args.time_limit
     return cfg
+
+
+def _check_seconds(flag: str, value: float, zero_ok: bool) -> None:
+    if not math.isfinite(value) or value < 0 or (value == 0 and not zero_ok):
+        bound = ">= 0" if zero_ok else "> 0"
+        raise ValueError(f"{flag} must be finite and {bound} seconds, got {value}")
 
 
 def main(argv=None) -> int:
@@ -390,6 +398,9 @@ def main(argv=None) -> int:
             print(record.to_json() if args.json else record.to_text())
             return 0
         if args.command == "bench":
+            if args.trials < 1:
+                raise ValueError(f"--trials must be at least 1, got {args.trials}")
+            _check_seconds("--timeout", args.timeout, zero_ok=False)
             table = bench(
                 parse_family(args.family), args.trials, args.timeout, args.method
             )

@@ -11,7 +11,6 @@ enumerators and the reversed-column ordering used for canonical forms.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -313,9 +312,18 @@ def normalized_column(col, p: int) -> tuple[int, ...]:
 def column_equiv_classes(m: FpMatrix) -> tuple[tuple[int, ...], ...]:
     """Columns (1-based) grouped by equality up to nonzero scaling, zero
     columns forming one class; classes in order of their least column."""
+    p = m.p
+    inv: dict[int, int] = {}  # inverses of the leading entries met so far
     classes: dict[tuple[int, ...], list[int]] = {}
-    for j in range(1, m.k + 1):
-        classes.setdefault(normalized_column(m.col(j), m.p), []).append(j)
+    # with no rows every column is the empty column
+    for j, col in enumerate(zip(*m.rows) if m.rows else [()] * m.k, start=1):
+        lead = next((x for x in col if x), 0)
+        if lead > 1:
+            if lead not in inv:
+                inv[lead] = pow(lead, p - 2, p)
+            f = inv[lead]
+            col = tuple(x * f % p for x in col)
+        classes.setdefault(col, []).append(j)
     return tuple(tuple(c) for c in classes.values())
 
 
@@ -330,16 +338,15 @@ class WeightEnumerator:
     counts: tuple[int, ...]
 
 
-# head-tail pairs weighed per numpy step in weight_enumerator; bounds its
-# temporaries to this many words
-_PAIR_CHUNK = 1 << 13
+# words built per numpy step in weight_enumerator (head-tail pairs) and
+# min_weight_vectors; bounds their temporaries
+_WORD_CHUNK = 1 << 13
 
 
-def _coefficient_grid(p: int, r: int, nonzero: bool = False) -> np.ndarray:
-    """All coefficient tuples of length r, entries in F_p (or F_p^*), in
-    lexicographic order; r = 0 gives the one empty tuple."""
-    vals = np.arange(1, p) if nonzero else np.arange(p)
-    return vals[np.indices((len(vals),) * r).reshape(r, len(vals) ** r).T]
+def _coefficient_grid(p: int, r: int) -> np.ndarray:
+    """All coefficient tuples of length r over F_p, in lexicographic order;
+    r = 0 gives the one empty tuple."""
+    return np.indices((p,) * r).reshape(r, p**r).T
 
 
 def _leading_one(grid: np.ndarray) -> np.ndarray:
@@ -350,42 +357,53 @@ def _leading_one(grid: np.ndarray) -> np.ndarray:
     return first == 1
 
 
-def min_weight_vectors(mstd: FpMatrix) -> tuple[int, set[tuple[int, ...]]]:
-    """All nonzero codewords of minimum weight, with that weight.
+def min_weight_vectors(mstd: FpMatrix) -> tuple[int, tuple[int, ...]]:
+    """The minimum weight d of the code and its column incidence:
+    incidence[j] is the number of weight-d codewords nonzero at column j+1.
 
-    Standard form lets us bound the search: a combination of r rows with all
-    coefficients nonzero has weight at least r, so only combinations of at
-    most the current minimum need be enumerated, shrinking as lighter words
-    are found.
+    Words v and c.v have the same support, so one word per scalar class is
+    enumerated (coefficient vectors whose first nonzero entry is 1) and the
+    counts are multiplied by p - 1.  In standard form a word with r nonzero
+    coefficients weighs at least r, so words with r + 1 of them are built,
+    each as a word with r plus one scaled row, only while r + 1 is at most
+    the least weight seen so far.  The extension runs depth first in steps
+    of at most _WORD_CHUNK words, which bounds its temporaries.
     """
     if not mstd.is_standard():
         raise ValueError("matrix is not in standard form")
     if mstd.s < 1:
         raise ValueError("empty code")
-    p, s = mstd.p, mstd.s
+    p, s, k = mstd.p, mstd.s, mstd.k
+    dtype = np.min_scalar_type(2 * p - 2)  # holds a sum before its reduction
     rows = np.array(mstd.rows, dtype=np.int64)
-    best: int | None = None
-    found: set[tuple[int, ...]] = set()
-    for r in range(1, s + 1):
-        if best is not None and r > best:
-            break
-        for combo in itertools.combinations(range(s), r):
-            sub = rows[list(combo)]
-            coeffs = _coefficient_grid(p, r, nonzero=True)
-            for start in range(0, coeffs.shape[0], 1 << 16):
-                block = coeffs[start : start + (1 << 16)]
-                words = block @ sub % p
-                weights = np.count_nonzero(words, axis=1)
-                wmin = int(weights.min())
-                if best is None or wmin < best:
-                    best = wmin
-                    found.clear()
-                if wmin <= best:
-                    for w in words[weights == best]:
-                        found.add(tuple(int(x) for x in w))
-    if best is None:
-        raise InvariantViolation("a nonzero code has a minimum-weight word")
-    return best, found
+    # scaled[i, c - 1] = c * row i
+    scaled = (np.arange(1, p)[None, :, None] * rows[:, None, :] % p).astype(dtype)
+    step = max(1, _WORD_CHUNK // (p - 1))  # pairs per step, p - 1 words each
+    best = k + 1
+    incidence = np.zeros(k, dtype=np.int64)
+
+    def extend(words: np.ndarray, last: np.ndarray, r: int) -> None:
+        # words: r nonzero coefficients, the last one on row last[i]
+        nonlocal best, incidence
+        weights = np.count_nonzero(words, axis=1)
+        wmin = int(weights.min())
+        if wmin < best:
+            best = wmin
+            incidence = np.zeros(k, dtype=np.int64)
+        if wmin == best:
+            incidence += np.count_nonzero(words[weights == best], axis=0)
+        if r >= best:
+            return
+        # (word, row) pairs: each word takes every row after its last one
+        word, row = np.nonzero(last[:, None] < np.arange(s))
+        for start in range(0, len(word), step):
+            w, i = word[start : start + step], row[start : start + step]
+            grown = words[w][:, None, :] + scaled[i]
+            grown = np.where(grown >= p, grown - p, grown)
+            extend(grown.reshape(-1, k), np.repeat(i, p - 1), r + 1)
+
+    extend(scaled[:, 0], np.arange(s), 1)
+    return best, tuple(int(x) * (p - 1) for x in incidence)
 
 
 def weight_enumerator(mstd: FpMatrix, budget: int = 1 << 20) -> WeightEnumerator | None:
@@ -419,7 +437,7 @@ def weight_enumerator(mstd: FpMatrix, budget: int = 1 << 20) -> WeightEnumerator
         np.count_nonzero(tail[_leading_one(tail_grid)], axis=1), minlength=k + 1
     )
     neg_tail = ((p - tail) % p).astype(dtype)
-    step = max(1, _PAIR_CHUNK // len(head))
+    step = max(1, _WORD_CHUNK // len(head))
     for start in range(0, len(neg_tail), step):
         block = neg_tail[start : start + step, None, :] != head[None, :, :]
         hist += np.bincount(np.count_nonzero(block, axis=2).ravel(), minlength=k + 1)

@@ -187,16 +187,6 @@ def _class_sizes(m: FpMatrix) -> tuple[tuple[int, ...], list[int]]:
     return tuple(sorted(len(cell) for cell in classes)), per_col
 
 
-def _min_weight_incidence(m: FpMatrix) -> list[int]:
-    _, vecs = min_weight_vectors(m)
-    counts = [0] * m.k
-    for v in vecs:
-        for j, x in enumerate(v):
-            if x:
-                counts[j] += 1
-    return counts
-
-
 def domains_init(
     inst: InPInstance,
     found: FoundGroup,
@@ -237,7 +227,7 @@ def domains_init(
         keyparts.append(dual_profiles)
 
     # minimum-weight codeword incidence counts
-    keyparts.append(_min_weight_incidence(inst.matrix))
+    keyparts.append(min_weight_vectors(inst.matrix)[1])
 
     meet_keys = [tuple(part[i] for part in keyparts) for i in range(k)]
     doms = []

@@ -196,6 +196,28 @@ class TestMain:
         assert done.returncode == 2
         assert "prime" in done.stderr
 
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("compute", ["--time-limit", "-1"]),
+            ("compute", ["--time-limit", "nan"]),
+            ("compute", ["--time-limit", "inf"]),
+            ("bench", ["--timeout", "0"]),
+            ("bench", ["--timeout", "-5"]),
+            ("bench", ["--timeout", "inf"]),
+            ("bench", ["--trials", "0"]),
+        ],
+    )
+    def test_bad_limits_are_rejected(self, tmp_path, capsys, command, flags):
+        path = tmp_path / "grp.txt"
+        main(["gen", "--p", "2", "--k", "2", "--dim", "1", "--seed", "0",
+              "--out", str(path)])
+        target = ["--in", str(path)] if command == "compute" else [
+            "--family", "p=2,k=3,dim=2"]
+        assert main([command, *target, *flags]) == 2
+        out = capsys.readouterr()
+        assert out.err.startswith("error: ") and out.out == ""
+
     def test_bench_command(self, capsys):
         assert main(["bench", "--family", "p=2,k=3,dim=2", "--trials", "2",
                      "--timeout", "30"]) == 0

@@ -221,25 +221,51 @@ class TestColumnClasses:
             assert column_equiv_classes(m) == column_equiv_classes(scaled)
 
 
+def incidence_of(words, k):
+    """Per column, the number of the given words nonzero there."""
+    return tuple(sum(1 for w in words if w[j]) for j in range(k))
+
+
+def brute_incidence(p, rows):
+    """Minimum weight and its column incidence over the words of all p^s
+    coefficient vectors, each reduced mod p; one first coefficient at a
+    time, to keep the arrays small."""
+    s = len(rows)
+    rows = np.array(rows, dtype=np.int64)
+    rest = np.indices((p,) * (s - 1)).reshape(s - 1, p ** (s - 1)).T @ rows[1:]
+
+    def blocks():
+        for c in range(p):
+            nz = (c * rows[0] + rest) % p != 0
+            yield nz, nz.sum(axis=1)
+
+    d = min(int(w[w > 0].min()) for _, w in blocks() if w.any())
+    incidence = sum(nz[w == d].sum(axis=0) for nz, w in blocks())
+    return d, tuple(int(x) for x in incidence)
+
+
 class TestMinWeight:
     def test_binary_example(self):
-        m, vecs = min_weight_vectors(M(2, [[1, 0, 1], [0, 1, 1]]))
+        m, inc = min_weight_vectors(M(2, [[1, 0, 1], [0, 1, 1]]))
         assert m == 2
-        assert vecs == {(1, 1, 0), (1, 0, 1), (0, 1, 1)}
+        assert inc == incidence_of({(1, 1, 0), (1, 0, 1), (0, 1, 1)}, 3)
 
     def test_identity_units(self):
-        m, vecs = min_weight_vectors(identity_matrix(3, 3))
+        m, inc = min_weight_vectors(identity_matrix(3, 3))
         assert m == 1
-        assert vecs == {
-            tuple(a if i == j else 0 for j in range(3))
-            for i in range(3)
-            for a in (1, 2)
-        }
+        assert inc == incidence_of(
+            {
+                tuple(a if i == j else 0 for j in range(3))
+                for i in range(3)
+                for a in (1, 2)
+            },
+            3,
+        )
 
     def test_repetition(self):
-        m, vecs = min_weight_vectors(M(3, [[1, 1, 1]]))
+        m, inc = min_weight_vectors(M(3, [[1, 1, 1]]))
         assert m == 3
-        assert vecs == {(1, 1, 1), (2, 2, 2)}
+        assert inc == incidence_of({(1, 1, 1), (2, 2, 2)}, 3)
 
     def test_agrees_with_enumeration(self):
         rng = random.Random(17)
@@ -259,7 +285,42 @@ class TestMinWeight:
             expect = {w for w in words if sum(1 for x in w if x) == wmin}
             got_m, got = min_weight_vectors(mat)
             assert got_m == wmin
-            assert got == expect
+            assert got == incidence_of(expect, k)
+
+    def test_incidence_against_brute_force(self):
+        rng = random.Random(41)
+        cases = []
+        for p in (2, 3, 5, 7, 11):
+            for s in range(1, 7):
+                k = rng.randrange(s, s + 7)
+                m0 = [[rng.randrange(p) for _ in range(k - s)] for _ in range(s)]
+                for j in range(k - s):
+                    if rng.random() < 0.2:
+                        for r in m0:
+                            r[j] = 0
+                cases.append(
+                    (p, [[int(i == j) for j in range(s)] + m0[i] for i in range(s)])
+                )
+        # d = 2 < s = 4: words with three or four coefficients are not built
+        cases.append((3, [[1, 0, 0, 0, 1], [0, 1, 0, 0, 2], [0, 0, 1, 0, 1],
+                          [0, 0, 0, 1, 1]]))
+        cases.append((5, [[int(i == j) for j in range(5)] for i in range(5)]))
+        # at p = 251 the sum 250 + 6 = 256 leaves one byte; at p = 257 the
+        # entries themselves do
+        cases.append((251, [[1, 0, 250], [0, 1, 6]]))
+        cases.append((257, [[1, 0, 256, 3, 128], [0, 1, 255, 0, 200]]))
+        cut = 0
+        for p, rows in cases:
+            expect = brute_incidence(p, rows)
+            assert min_weight_vectors(M(p, rows)) == expect, (p, rows)
+            cut += expect[0] < len(rows)
+        assert cut >= 3
+
+    def test_rejects_non_standard_and_empty_code(self):
+        with pytest.raises(ValueError, match="standard form"):
+            min_weight_vectors(M(3, [[0, 1, 1], [1, 0, 1]]))
+        with pytest.raises(ValueError, match="empty code"):
+            min_weight_vectors(FpMatrix(3, 4, ()))
 
 
 class TestWeightEnumerator:

@@ -1,5 +1,6 @@
 """Source hygiene: every imported name is read somewhere in its module,
-and every public name the package defines is used by the package.
+every public name the package defines is used by the package, and every
+name the benchmark's tracer wraps exists.
 
 Package re-exports (``__init__.py``) and ``from __future__`` imports are
 exempt.  The acceptance gate is kept byte for byte, so its one known
@@ -7,6 +8,7 @@ unused import is listed instead of removed.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -95,3 +97,30 @@ def test_detects_an_unreferenced_name():
         "b.py": "from a import used\nused()\n",
     }
     assert unreferenced_public_names(sources) == ["C", "m", "unused"]
+
+
+def traced_targets() -> list[tuple[str, str]]:
+    """The (module, attribute) keys of the benchmark tracer's TARGETS,
+    read from its source without importing it."""
+    tree = ast.parse((ROOT / "benchmark" / "spans.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets
+        ):
+            return sorted(ast.literal_eval(node.value))
+    raise AssertionError("benchmark/spans.py defines no TARGETS")
+
+
+def test_traced_names_resolve():
+    # the tracer looks every target up by name, so a renamed or deleted
+    # function breaks the traced benchmark run
+    targets = traced_targets()
+    assert targets
+    missing = []
+    for module, attr in targets:
+        obj = importlib.import_module(f"symnorm.{module}")
+        for part in attr.split("."):
+            obj = getattr(obj, part, None)
+        if obj is None:
+            missing.append(f"{module}.{attr}")
+    assert missing == []

@@ -353,3 +353,55 @@ if HAVE_ORACLES:
         def test_cycle_string_round_trip(self, backing, data):
             g, _ = data.draw(perm_pairs(backing))
             assert parse_permutation(g.cycle_string(), g.degree) == g
+
+    def on_support(degree, support, images):
+        """The permutation of 1..degree sending support[i] to images[i]."""
+        imgs = list(range(1, degree + 1))
+        for x, y in zip(support, images):
+            imgs[x - 1] = y
+        return Permutation(imgs)
+
+    @st.composite
+    def generator_sets(draw, backing):
+        # each generator permutes a part of one support of at most 9 points,
+        # so the groups range from cyclic to full symmetric on the support
+        lo, hi = BACKINGS[backing]
+        degree = draw(st.integers(lo, hi))
+        support = draw(
+            st.lists(st.integers(1, degree), min_size=1, max_size=9, unique=True)
+        )
+        gens = []
+        for _ in range(draw(st.integers(1, 3))):
+            part = draw(st.lists(st.sampled_from(support), min_size=1, unique=True))
+            gens.append(on_support(degree, part, draw(st.permutations(part))))
+        return degree, support, gens
+
+    @pytest.mark.parametrize("backing", sorted(BACKINGS))
+    class TestStabChainAgainstSympy:
+        """Order and membership of a chain built from random generators
+        against sympy's Schreier-Sims, on both backings."""
+
+        @settings(max_examples=30, deadline=None)
+        @given(data=st.data())
+        def test_order_and_contains(self, backing, data):
+            degree, support, gens = data.draw(generator_sets(backing))
+            chain = StabChain(degree, gens)
+            ref = sympy_group(gens)
+            assert chain.order() == ref.order()
+            # group elements: words in the generators and their inverses
+            words = st.lists(st.sampled_from(gens + [g.inverse() for g in gens]),
+                             min_size=1, max_size=6)
+            for _ in range(3):
+                g = Permutation.identity(degree)
+                for h in data.draw(words):
+                    g = g * h
+                assert chain.contains(g) and ref.contains(sympy_perm(g))
+            # random permutations of the support, mostly outside the group
+            for _ in range(3):
+                g = on_support(degree, support, data.draw(st.permutations(support)))
+                assert chain.contains(g) == ref.contains(sympy_perm(g))
+            # a point outside the support is fixed by the group
+            outside = sorted(set(range(1, degree + 1)) - set(support))
+            if outside:
+                g = P(degree, (support[0], data.draw(st.sampled_from(outside))))
+                assert not chain.contains(g) and not ref.contains(sympy_perm(g))

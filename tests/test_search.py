@@ -22,6 +22,7 @@ from symnorm.gfp import (
     in_row_space,
     matrix_rank,
     member_row_space,
+    min_weight_vectors,
     weight_enumerator,
 )
 from symnorm.oracle import brute_maut, brute_normalizer
@@ -162,9 +163,7 @@ class TestDomainsInit:
         inst = build_instance(
             code_to_group(M(3, [[1, 0, 0, 1], [0, 1, 0, 2], [0, 0, 1, 0]])), 3
         )
-        from symnorm.search import _min_weight_incidence
-
-        assert _min_weight_incidence(inst.matrix) == [0, 0, 2, 0]
+        assert min_weight_vectors(inst.matrix) == (1, (0, 0, 2, 0))
         found = FoundGroup(inst)
         doms = domains_init(inst, found)
         assert doms[2] == {3}
