@@ -168,6 +168,26 @@ def gen_instance(
 # computation entry point
 
 
+def _oracle_in_support(grp: PermGroup) -> NormalizerResult:
+    """brute_normalizer in Sym(support), like the other methods: H is
+    relabelled onto 1..m for its m moved points, and the generators found
+    are mapped back, fixing every other point."""
+    support = grp.support()
+    index = {pt: i for i, pt in enumerate(support, start=1)}
+    small = PermGroup.from_gens(
+        len(support),
+        [Permutation([index[x.image(pt)] for pt in support]) for x in grp.generators],
+    )
+    norm = brute_normalizer(small)
+    gens = []
+    for g in norm.generators:
+        imgs = list(range(1, grp.degree + 1))
+        for i, pt in enumerate(support, start=1):
+            imgs[pt - 1] = support[g.image(i) - 1]
+        gens.append(Permutation(imgs))
+    return NormalizerResult(tuple(gens), norm.order(), {}, "oracle")
+
+
 def compute(
     text: str,
     method: str = "full",
@@ -196,10 +216,7 @@ def compute(
         elif method == "dihedral":
             result = normalizer_dihedral(build_dihedral(grp, p), cfg)
         elif method == "oracle":
-            oracle_grp = brute_normalizer(grp)
-            result = NormalizerResult(
-                oracle_grp.generators, oracle_grp.order(), {}, "oracle"
-            )
+            result = _oracle_in_support(grp)
         else:
             raise ValueError(f"unknown method {method!r}")
     except SearchTimeout:

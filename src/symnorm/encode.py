@@ -4,10 +4,11 @@ A group H whose orbits all have prime size p, with cyclic restriction of
 order p on each, is determined by a linear code over F_p: fix a p-cycle
 g_i on each orbit, send a product of powers of the g_i to its exponent
 vector, and row-reduce the images of the generators.  This module
-recognises such groups, builds the full translation (ordered orbits and
-their cycles, generator matrix in standard form, dual code), and
-realises the structural maps the search relies on in coordinates of the
-overgroup L = B K: every element of L sends the u-th point of orbit i's
+recognises such groups (orbit cycles and exponent vectors), builds the
+full translation from a code on given orbit cycles (ordered orbits,
+generator matrix in standard form, dual code), and realises the
+structural maps the search relies on in coordinates of the overgroup
+L = B K: every element of L sends the u-th point of orbit i's
 cycle to the (scale[i] u + shift[i])-th point of orbit pi(i)'s cycle, and
 affine_perm / affine_parts convert between such triples and permutations.
 The exponent-vector maps, the monomial action on the code, the swaps of
@@ -129,9 +130,9 @@ def build_instance(H: PermGroup, p: int) -> InPInstance:
 
     The orbits considered are those on the support of H; each must have
     exactly p points with every generator restricting to a power of one
-    p-cycle there.
+    p-cycle there.  Recognition gives the orbit cycles and the exponent
+    vectors of the generators; instance_from_code builds the rest.
     """
-    fld = PrimeField(p)
     support = H.support()
     if not support:
         raise NotInClass("the trivial group has no orbits of size p")
@@ -140,60 +141,57 @@ def build_instance(H: PermGroup, p: int) -> InPInstance:
         if len(orb) != p:
             raise NotInClass(f"orbit {list(orb)} has size {len(orb)}, expected {p}")
 
-    k = len(orbits)
-    gens0: list[Permutation] = []
-    cycles0: list[tuple[int, ...]] = []
-    pos0: list[dict] = []
+    cycles: list[tuple[int, ...]] = []
     for orb in orbits:
-        g = None
-        for x in H.generators:
-            if any(x.image(q) != q for q in orb):
-                g = restrict_to(x, orb)
-                break
+        g = next((x for x in H.generators if any(x.image(q) != q for q in orb)), None)
         if g is None:
             raise NotInClass(f"no generator moves orbit {list(orb)}")
-        cyc = _orbit_cycle(g, orb, p)
+        cyc = _orbit_cycle(restrict_to(g, orb), orb, p)
         if cyc is None:
             raise NotInClass(f"restriction to orbit {list(orb)} is not a p-cycle")
         # normalise to the power sending the minimum to the next-smallest
         # point, so rebuilding a group from its code reproduces the code
-        second = sorted(orb)[1]
-        g = g ** cyc.index(second)
-        cyc = _orbit_cycle(g, orb, p)
-        if cyc is None:
-            raise InvariantViolation("a power of a p-cycle must be a p-cycle")
-        gens0.append(g)
-        cycles0.append(cyc)
-        pos0.append({pt: u for u, pt in enumerate(cyc)})
+        r = cyc.index(orb[1])
+        cycles.append(tuple(cyc[u * r % p] for u in range(p)))
 
     # exponent vectors of the generators; also verifies cyclic restrictions
+    pos = [{pt: u for u, pt in enumerate(cyc)} for cyc in cycles]
     vectors = []
     for x in H.generators:
         vec = []
-        for i, orb in enumerate(orbits):
-            im = x.image(cycles0[i][0])
-            if im not in pos0[i]:
+        for orb, cyc, where in zip(orbits, cycles, pos):
+            r = where.get(x.image(cyc[0]))
+            if r is None:
                 raise NotInClass(f"generator {x!r} does not preserve orbit {list(orb)}")
-            r = pos0[i][im]
-            if any(x.image(cycles0[i][u]) != cycles0[i][(u + r) % p] for u in range(p)):
+            if any(x.image(cyc[u]) != cyc[(u + r) % p] for u in range(p)):
                 raise NotInClass(
                     f"restriction of {x!r} to orbit {list(orb)} is not a power "
                     "of the orbit cycle"
                 )
             vec.append(r)
-        vectors.append(tuple(vec))
+        vectors.append(vec)
+    return instance_from_code(PrimeField(p), H.degree, cycles, vectors)
 
-    basis = independent_rows(p, vectors)
-    if not basis:
-        raise NotInClass("group acts trivially")
+
+def instance_from_code(field: PrimeField, degree: int, cycles, rows) -> InPInstance:
+    """The instance of the code spanned by rows, whose j-th entry is the
+    exponent of cycles[j]; each cycle starts at its least point and steps
+    to its next-smallest one, as build_instance normalises them.
+
+    Orbits are sorted by least point, the code is row reduced and the
+    orbits relabelled so its pivot columns come first; the orbit
+    generators, standard generators and point maps come from the cycles.
+    """
+    p, k = field.p, len(cycles)
+    by_point = sorted(range(k), key=lambda j: cycles[j][0])
+    basis = independent_rows(p, [[row[j] for j in by_point] for row in rows])
     first = rref_standard(FpMatrix.from_rows(p, basis, k))
 
-    # relabel orbits so pivot columns come first
+    # relabel orbits so pivot columns come first: the pivot columns of a
+    # reduced echelon form are the unit vectors in row order
     order = list(first.pivots) + [j for j in range(1, k + 1) if j not in first.pivots]
-    orbits = [orbits[j - 1] for j in order]
-    gens = [gens0[j - 1] for j in order]
-    cycles = [cycles0[j - 1] for j in order]
-    mstd = rref_standard(first.mstd.permute_columns(tuple(order))).mstd
+    cycles = [tuple(cycles[by_point[j - 1]]) for j in order]
+    mstd = first.mstd.permute_columns(tuple(order))
     if not mstd.is_standard():
         raise InvariantViolation("pivot-first relabelling must give standard form")
 
@@ -205,10 +203,10 @@ def build_instance(H: PermGroup, p: int) -> InPInstance:
             point_exp[pt] = u
 
     inst = InPInstance(
-        field=fld,
-        degree=H.degree,
-        orbits=tuple(orbits),
-        orbit_gens=tuple(gens),
+        field=field,
+        degree=degree,
+        orbits=tuple(tuple(sorted(cyc)) for cyc in cycles),
+        orbit_gens=tuple(Permutation.from_cycles(degree, [cyc]) for cyc in cycles),
         matrix=mstd,
         dual=dual_matrix(mstd),
         standard_gens=(),
@@ -401,21 +399,18 @@ def equivalent_orbit_swaps(
 @dataclass(frozen=True, eq=False)
 class ReduceResult:
     """Data for computing a normaliser through one orbit per equivalence
-    class: the restricted group, the embedding of its normalising elements
-    back to the full domain, the centraliser, and the class sizes that
-    constrain which representative orbits may be exchanged."""
+    class: the reduced instance on the class representatives, the size of
+    each one's class (in the reduced orbit order), the embedding of its
+    normalising elements back to the full domain, and the centraliser."""
 
-    identity: bool
-    p: int
     instance: InPInstance
-    gamma_points: tuple[int, ...]
-    restricted: PermGroup
+    reduced: InPInstance
+    class_sizes: tuple[int, ...]
     centralizer_gens: tuple[Permutation, ...]
-    rep_orbit_class_size: dict
     _theta_data: tuple = field(repr=False)
 
     def theta(self, u: Permutation) -> Permutation:
-        """Extend a normalising element of the restricted group to the full
+        """Extend a normalising element of the reduced group to the full
         domain, moving each orbit alongside its class representative."""
         classes, swaps, rep_sets = self._theta_data
         inst = self.instance
@@ -438,31 +433,34 @@ class ReduceResult:
 
 def reduce_equivalent_orbits(H: PermGroup, p: int) -> ReduceResult:
     """Set up the reduction of the normaliser computation to one orbit per
-    equivalence class (trivial when orbits are pairwise inequivalent)."""
+    equivalence class; the reduced instance is the instance itself when
+    the orbits are pairwise inequivalent."""
     inst = build_instance(H, p)
     orbit_classes = equivalent_orbit_swaps(inst, inst.matrix)
     classes = [cell for cell, _ in orbit_classes]
-    identity = all(len(c) == 1 for c in classes)
     ident = Permutation.identity(inst.degree)
     swaps = [[ident] + cell_swaps for _, cell_swaps in orbit_classes]
     cent = list(inst.orbit_gens)
     cent.extend(sw for _, cell_swaps in orbit_classes for sw in cell_swaps)
 
-    gamma_pts = tuple(sorted(pt for cell in classes for pt in inst.orbits[cell[0] - 1]))
-    restricted = PermGroup.from_gens(
-        H.degree, [restrict_to(x, gamma_pts) for x in H.generators]
-    )
+    reduced = inst
+    if len(classes) < inst.k:
+        # the pivot columns are distinct unit vectors with the least indices,
+        # so each represents its class: the representatives keep the pivots
+        # first in their order, and the projected rows stay a basis
+        reps = [cell[0] - 1 for cell in classes]
+        reduced = instance_from_code(
+            inst.field,
+            inst.degree,
+            [inst.orbit_cycles[j] for j in reps],
+            [[row[j] for j in reps] for row in inst.matrix.rows],
+        )
+    size_at = {inst.orbit_cycles[cell[0] - 1][0]: len(cell) for cell in classes}
     rep_sets = {inst.orbits[cell[0] - 1]: ci for ci, cell in enumerate(classes)}
-    class_size = {
-        frozenset(inst.orbits[cell[0] - 1]): len(cell) for cell in classes
-    }
     return ReduceResult(
-        identity=identity,
-        p=p,
         instance=inst,
-        gamma_points=gamma_pts,
-        restricted=restricted,
+        reduced=reduced,
+        class_sizes=tuple(size_at[cyc[0]] for cyc in reduced.orbit_cycles),
         centralizer_gens=tuple(cent),
-        rep_orbit_class_size=class_size,
         _theta_data=(classes, swaps, rep_sets),
     )

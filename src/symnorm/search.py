@@ -19,17 +19,16 @@ from dataclasses import dataclass
 from itertools import product
 from math import factorial, prod
 
-from symnorm.canon import CanonResult, canonical_rep, kappa_feasible
+from symnorm.canon import CanonResult, canonical_rep, kappa_feasible, support_partitions
 from symnorm.encode import (
     InPInstance,
     NotInClass,
     affine_parts,
     affine_perm,
-    build_instance,
     decompose_bk,
     eliminate_column,
     equivalent_orbit_swaps,
-    gamma_inv,
+    instance_from_code,
     reduce_equivalent_orbits,
     xi_image,
 )
@@ -84,10 +83,11 @@ class FoundGroup:
     conjugation by g on exponent vectors, maps each code row into the code.
     The kernel of g -> w.perm is known: for a normalising (id, scale, shift),
     scale o r_i is a code word nonzero among the pivots only at column i, so
-    it is scale_i * r_i.  So scale is constant on each of the c components of
-    _support_components and the shift is free: norm_b, the starting
-    generators, gives all p^k (p-1)^c.  A verified g is in the group exactly
-    when w.perm is in the index chain; the order is p^k (p-1)^c |index group|."""
+    it is scale_i * r_i.  So scale is constant on the columns of each of the
+    c cells of rows that canon.support_partitions ends with, and the shift
+    is free: norm_b, the starting generators, gives all p^k (p-1)^c.  A
+    verified g is in the group exactly when w.perm is in the index chain;
+    the order is p^k (p-1)^c |index group|."""
 
     def __init__(self, inst: InPInstance):
         self.inst = inst
@@ -95,7 +95,8 @@ class FoundGroup:
         self.index_chain = StabChain(
             inst.k, (), base_prefix=tuple(range(1, inst.k + 1))
         )
-        for g in norm_b(inst):
+        self.row_cells = support_partitions(inst.matrix)[-1]
+        for g in norm_b(inst, self.row_cells):
             self.add(g)  # verifies g; its orbit permutation is the identity
             self.gens.append(g)
 
@@ -120,7 +121,7 @@ class FoundGroup:
 
     def order(self) -> int:
         inst = self.inst
-        c = len(_support_components(inst.matrix))
+        c = len(self.row_cells)
         return inst.p**inst.k * (inst.p - 1) ** c * self.index_chain.order()
 
 
@@ -128,38 +129,23 @@ class FoundGroup:
 # the orbit-fixing part
 
 
-def _support_components(m: FpMatrix) -> list[list[int]]:
-    """Column sets of the connected components of the row/column support
-    graph; rows of a standard-form matrix never straddle components."""
-    parent = list(range(m.k))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for row in m.rows:
-        supp = [j for j, x in enumerate(row) if x]
-        for j in supp[1:]:
-            ra, rb = find(supp[0]), find(j)
-            if ra != rb:
-                parent[rb] = ra
-    groups: dict[int, list[int]] = {}
-    for j in range(m.k):
-        groups.setdefault(find(j), []).append(j + 1)
-    return sorted(groups.values())
-
-
-def norm_b(inst: InPInstance) -> list[Permutation]:
+def norm_b(inst: InPInstance, row_cells=None) -> list[Permutation]:
     """Generators of the orbit-fixing normalising elements: the orbit
     cycles themselves plus, per disjoint direct factor, one map raising
-    every cycle in the factor to the primitive-element power."""
+    every cycle in the factor to the primitive-element power.  The factors
+    are the columns met by each cell of row_cells, which defaults to the
+    last partition of canon.support_partitions; the cells come in order of
+    their least row, the factors so in order of their least column."""
     gens = list(inst.orbit_gens)
     t = inst.field.t
     if t != 1:
-        for comp in _support_components(inst.matrix):
-            scale = [t if j in comp else 1 for j in range(1, inst.k + 1)]
+        if row_cells is None:
+            row_cells = support_partitions(inst.matrix)[-1]
+        rows = inst.matrix.rows
+        for cell in row_cells:
+            scale = [
+                t if any(rows[i - 1][j] for i in cell) else 1 for j in range(inst.k)
+            ]
             gens.append(affine_perm(inst, scale=scale))
     return gens
 
@@ -692,24 +678,22 @@ def _search_with_dual_swap(
     if not _dual_swappable(inst, method):
         return runner(inst, cfg, domain_restrict=domain_restrict)
 
-    dual_group = PermGroup.from_gens(
-        inst.degree, [gamma_inv(inst, row) for row in inst.dual.rows]
+    dual_inst = instance_from_code(
+        inst.field, inst.degree, inst.orbit_cycles, inst.dual.rows
     )
-    dual_inst = build_instance(dual_group, inst.p)
     restrict_d = None
     if domain_restrict is not None:
-        orbit_index = {orb: i for i, orb in enumerate(dual_inst.orbits)}
-        to_dual = [orbit_index[orb] for orb in inst.orbits]
+        to_dual = [dual_inst.point_orbit[cyc[0]] for cyc in inst.orbit_cycles]
         restrict_d = [set() for _ in range(inst.k)]
         for i in range(inst.k):
             restrict_d[to_dual[i]] = {to_dual[j - 1] + 1 for j in domain_restrict[i]}
     sub = runner(dual_inst, cfg, domain_restrict=restrict_d)
 
+    # repeats are left to the pipeline's final PermGroup.from_gens
     gens = list(inst.orbit_gens) + [_dual_mirror(inst, g) for g in sub.generators]
-    grp = PermGroup.from_gens(inst.degree, gens)
     stats = dict(sub.stats)
     stats["dual_swapped"] = 1
-    return NormalizerResult(grp.generators, sub.order, stats, sub.method)
+    return NormalizerResult(tuple(gens), sub.order, stats, sub.method)
 
 
 def normalizer_in_sym(
@@ -733,31 +717,23 @@ def normalizer_in_sym(
         raise ValueError(f"unknown method {method!r}")
     cfg = cfg or SearchConfig()
     red = reduce_equivalent_orbits(H, p)
-    inst1 = (
-        red.instance
-        if red.identity
-        else build_instance(red.restricted, p)
-    )
+    inst, sizes = red.reduced, red.class_sizes
 
+    # representatives may only be exchanged within one class size
     domain_restrict = None
-    if not red.identity:
-        sizes = [red.rep_orbit_class_size[frozenset(orb)] for orb in inst1.orbits]
+    if len(set(sizes)) > 1:
         domain_restrict = [
-            {j + 1 for j in range(inst1.k) if sizes[j] == sizes[i]}
-            for i in range(inst1.k)
+            {j + 1 for j in range(inst.k) if sizes[j] == sizes[i]}
+            for i in range(inst.k)
         ]
+    sub = _search_with_dual_swap(inst, method, cfg, domain_restrict)
 
-    sub = _search_with_dual_swap(inst1, method, cfg, domain_restrict)
-
-    if red.identity:
-        gens = list(sub.generators)
-    else:
-        gens = [red.theta(g) for g in sub.generators]
-        gens.extend(red.centralizer_gens)
+    gens = [red.theta(g) for g in sub.generators]
+    gens.extend(red.centralizer_gens)
     order = (
         sub.order
-        * p ** (red.instance.k - inst1.k)
-        * prod(factorial(m) for m in red.rep_orbit_class_size.values())
+        * p ** (red.instance.k - inst.k)
+        * prod(factorial(m) for m in sizes)
     )
 
     group = PermGroup.from_gens(H.degree, gens)

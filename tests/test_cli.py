@@ -63,6 +63,14 @@ class TestCompute:
         assert compute(text, "limitdepth").order == "48"
         assert compute(text, "oracle").order == "48"
 
+    def test_oracle_in_support(self):
+        # points 3 and 4 are fixed: every method works in Sym({1, 2})
+        text = "2 4\n(1 2)"
+        assert compute(text).order == "2"
+        rec = compute(text, "oracle")
+        assert rec.order == "2"
+        assert rec.generators == ["(1 2)"]
+
     def test_generators_reverify_after_roundtrip(self):
         grp, text = gen_instance(3, 3, 2, seed=9)
         rec = compute(text)

@@ -1,9 +1,11 @@
+import dataclasses
 import itertools
 import random
 
 import pytest
 
 from symnorm.encode import (
+    InPInstance,
     MonomialElement,
     NotInClass,
     affine_parts,
@@ -16,11 +18,13 @@ from symnorm.encode import (
     exponent_scaling_perm,
     gamma_inv,
     gamma_map,
+    instance_from_code,
     reduce_equivalent_orbits,
     xi_image,
 )
+from symnorm.cli import gen_instance
 from symnorm.gfp import FpMatrix
-from symnorm.perm import PermGroup, Permutation
+from symnorm.perm import PermGroup, Permutation, restrict_to
 from symnorm.search import norm_b
 
 
@@ -365,15 +369,15 @@ class TestEquivSwap:
 class TestReduce:
     def test_identity_reduction(self):
         red = reduce_equivalent_orbits(e1_group(), 2)
-        assert red.identity
-        assert red.gamma_points == (1, 2, 3, 4, 5, 6)
+        assert red.reduced is red.instance
+        assert red.class_sizes == (1, 1, 1)
 
     def test_diagonal_c3(self):
         grp = PermGroup.from_gens(6, [P(6, (1, 2, 3), (4, 5, 6))])
         red = reduce_equivalent_orbits(grp, 3)
-        assert not red.identity
-        assert red.gamma_points == (1, 2, 3)
-        assert red.restricted.generators == (P(6, (1, 2, 3)),)
+        assert red.reduced.orbits == ((1, 2, 3),)
+        assert red.reduced.standard_gens == (P(6, (1, 2, 3)),)
+        assert red.class_sizes == (2,)
         u = P(6, (2, 3))
         theta_u = red.theta(u)
         assert theta_u == P(6, (2, 3), (5, 6))
@@ -382,17 +386,68 @@ class TestReduce:
         assert grp.contains(h.conj(theta_u))
 
     def test_theta_normalises(self):
-        rng = random.Random(31)
         grp = code_to_group(M(3, [[1, 2, 1, 2]]))
         red = reduce_equivalent_orbits(grp, 3)
-        assert len(red.gamma_points) == 3
+        assert red.reduced.orbits == ((1, 2, 3),)
+        assert red.class_sizes == (4,)
         # exponent scaling on the representative orbit extends to all orbits
-        inst1 = build_instance(red.restricted, 3)
-        sigma = exponent_scaling_perm(inst1, 0, 2)
+        sigma = exponent_scaling_perm(red.reduced, 0, 2)
         img = red.theta(sigma)
         for x in grp.generators:
             assert grp.contains(x.conj(img))
-        del rng
+
+
+def assert_same_instance(a, b):
+    for f in dataclasses.fields(InPInstance):
+        assert getattr(a, f.name) == getattr(b, f.name), f.name
+
+
+def conjugated(grp, rng):
+    """grp relabelled by a random permutation of all its points."""
+    imgs = list(range(1, grp.degree + 1))
+    rng.shuffle(imgs)
+    s = Permutation(imgs)
+    return PermGroup.from_gens(grp.degree, [g.conj(s) for g in grp.generators])
+
+
+class TestInstanceFromCode:
+    """The reduced and the dual instances, built from their codes, equal
+    build_instance of the restricted and the dual permutation groups, field
+    by field."""
+
+    # (p, k, dim): bytes backing (degree <= 256) and tuple backing (259)
+    CELLS = [(2, 10, 3), (3, 10, 2), (3, 8, 6), (5, 8, 2), (5, 8, 6), (7, 9, 5),
+             (7, 37, 3)]
+
+    def test_against_recognition(self):
+        rng = random.Random(41)
+        reduced = duals = big = 0
+        for p, k, dim in self.CELLS:
+            for seed in range(4):
+                grp, _ = gen_instance(p, k, dim, seed)
+                if seed % 2:
+                    grp = conjugated(grp, rng)
+                red = reduce_equivalent_orbits(grp, p)
+                points = [q for orb in red.reduced.orbits for q in orb]
+                restricted = PermGroup.from_gens(
+                    grp.degree, [restrict_to(x, points) for x in grp.generators]
+                )
+                assert_same_instance(red.reduced, build_instance(restricted, p))
+                reduced += red.reduced is not red.instance
+                for inst in dict.fromkeys((red.instance, red.reduced)):
+                    dual = inst.dual
+                    if not dual.s or not all(any(col) for col in zip(*dual.rows)):
+                        continue  # the dual group would lose an orbit
+                    dual_group = PermGroup.from_gens(
+                        inst.degree, [gamma_inv(inst, row) for row in dual.rows]
+                    )
+                    from_code = instance_from_code(
+                        inst.field, inst.degree, inst.orbit_cycles, dual.rows
+                    )
+                    assert_same_instance(from_code, build_instance(dual_group, p))
+                    duals += 1
+                    big += inst.degree > 256
+        assert reduced >= 12 and duals >= 30 and big >= 4
 
 
 class TestBuildLK:

@@ -1,5 +1,6 @@
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -19,6 +20,7 @@ from symnorm.encode import (
 from symnorm.gfp import (
     FpMatrix,
     InvariantViolation,
+    column_equiv_classes,
     in_row_space,
     matrix_rank,
     member_row_space,
@@ -469,7 +471,8 @@ class TestKnownOrders:
     def test_equivalent_orbits(self, p, k, dim):
         for seed in range(6):
             grp, _ = gen_instance(p, k, dim, seed)
-            assert not reduce_equivalent_orbits(grp, p).identity
+            red = reduce_equivalent_orbits(grp, p)
+            assert red.reduced.k < red.instance.k
             for method in ("full", "limitdepth"):
                 res = normalizer_in_sym(grp, p, method=method)
                 assert res.order == sympy_order(res.generators)
@@ -488,6 +491,31 @@ class TestKnownOrders:
         assert grp.degree == 259
         res = normalizer_in_sym(grp, 7)
         assert res.order == sympy_order(res.generators)
+
+
+class TestRecognition:
+    def test_one_build_instance_per_call(self, monkeypatch):
+        # orbits collapse and the search runs on the dual code: the reduced
+        # and the dual instance come from their codes, so H is recognised once
+        grp, _ = gen_instance(3, 10, 2, 4)
+        inst = build_instance(grp, 3)
+        assert len(column_equiv_classes(inst.matrix)) < inst.k
+        calls = []
+        real = build_instance
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        # every module binding build_instance, wherever it was imported
+        for name, mod in list(sys.modules.items()):
+            if name == "symnorm" or name.startswith("symnorm."):
+                for key, value in list(vars(mod).items()):
+                    if value is real:
+                        monkeypatch.setattr(mod, key, counting)
+        res = normalizer_in_sym(grp, 3)
+        assert res.stats.get("dual_swapped") == 1
+        assert len(calls) == 1
 
 
 def record_searches(monkeypatch) -> list:
