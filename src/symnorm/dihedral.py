@@ -138,8 +138,17 @@ def build_dihedral(H: PermGroup, p: int) -> DihedralInstance:
                 f"expected {2 * p}"
             )
 
-    # rotations: normal closure of the squares of the generators
-    rotations = normal_closure(H.generators, [x * x for x in H.generators], H.degree)
+    # rotations: H^2, the normal closure of the squares of the generators
+    # and of their pairwise products (modulo those, the generators are
+    # commuting involutions); the rotations are of odd order, so H^2 is all
+    # of them.  A reflection-only generating set needs the products.
+    gens = H.generators
+    squares = [x * x for x in gens]
+    rotations = normal_closure(gens, squares, H.degree)
+    pair_squares = ((x * y) ** 2 for i, x in enumerate(gens) for y in gens[i + 1 :])
+    extra = [g for g in pair_squares if not rotations.contains(g)]
+    if extra:
+        rotations = normal_closure(gens, squares + extra, H.degree)
     if rotations.is_trivial():
         raise NotInClass("no rotations: restrictions are not dihedral")
     rot_inst = build_instance(rotations, p)

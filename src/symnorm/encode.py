@@ -18,7 +18,7 @@ all built on these two.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from symnorm.gfp import (
     FpMatrix,
@@ -82,8 +82,8 @@ class InPInstance:
     """A recognised orbit-wise cyclic group, translated to a code.
 
     Orbits are ordered so that the code's pivot columns come first (labels
-    are permuted, points are not), the matrix is in standard form, and the
-    i-th standard generator maps to the i-th matrix row.
+    are permuted, points are not) and the matrix is in standard form;
+    gamma_inv(inst, row) is the group element of each code row.
     """
 
     field: PrimeField
@@ -92,7 +92,6 @@ class InPInstance:
     orbit_gens: tuple[Permutation, ...]
     matrix: FpMatrix
     dual: FpMatrix
-    standard_gens: tuple[Permutation, ...]
     orbit_cycles: tuple[tuple[int, ...], ...] = field(repr=False)
     point_orbit: dict = field(repr=False)
     point_exp: dict = field(repr=False)
@@ -180,7 +179,7 @@ def instance_from_code(field: PrimeField, degree: int, cycles, rows) -> InPInsta
 
     Orbits are sorted by least point, the code is row reduced and the
     orbits relabelled so its pivot columns come first; the orbit
-    generators, standard generators and point maps come from the cycles.
+    generators and point maps come from the cycles.
     """
     p, k = field.p, len(cycles)
     by_point = sorted(range(k), key=lambda j: cycles[j][0])
@@ -202,20 +201,16 @@ def instance_from_code(field: PrimeField, degree: int, cycles, rows) -> InPInsta
             point_orbit[pt] = i
             point_exp[pt] = u
 
-    inst = InPInstance(
+    return InPInstance(
         field=field,
         degree=degree,
         orbits=tuple(tuple(sorted(cyc)) for cyc in cycles),
         orbit_gens=tuple(Permutation.from_cycles(degree, [cyc]) for cyc in cycles),
         matrix=mstd,
         dual=dual_matrix(mstd),
-        standard_gens=(),
         orbit_cycles=tuple(cycles),
         point_orbit=point_orbit,
         point_exp=point_exp,
-    )
-    return replace(
-        inst, standard_gens=tuple(gamma_inv(inst, row) for row in mstd.rows)
     )
 
 

@@ -406,7 +406,7 @@ def min_weight_vectors(mstd: FpMatrix) -> tuple[int, tuple[int, ...]]:
     return best, tuple(int(x) * (p - 1) for x in incidence)
 
 
-def weight_enumerator(mstd: FpMatrix, budget: int = 1 << 20) -> WeightEnumerator | None:
+def weight_enumerator(mstd: FpMatrix, budget: int = 1 << 17) -> WeightEnumerator | None:
     """Weight distribution of the p^s codewords of the row space of mstd.
 
     Returns None when p^s exceeds the budget; callers treat that as a

@@ -47,11 +47,6 @@ from symnorm.gfp import (
 from symnorm.perm import PermGroup, Permutation, StabChain, orbit_of
 
 
-# compare_stabs compares weight enumerators only while the remaining code
-# dimension times p is at most this: a fixed heuristic, not a measured rule
-WEIGHT_GATE = 45
-
-
 class SearchTimeout(Exception):
     """The configured wall-clock limit was hit mid-search."""
 
@@ -202,15 +197,13 @@ def domains_init(
         keyparts.append([class_size[j] for j in range(1, k + 1)])
 
     # stabiliser class-size profiles, for the code and its dual
-    profiles = []
-    for j in range(1, k + 1):
-        profiles.append(_class_sizes(eliminate_column(inst.matrix, j))[0])
-    keyparts.append(profiles)
+    codes = [inst.matrix]
     if cfg.use_dual_partitions and inst.dual.s:
-        dual_profiles = []
-        for j in range(1, k + 1):
-            dual_profiles.append(_class_sizes(eliminate_column(inst.dual, j))[0])
-        keyparts.append(dual_profiles)
+        codes.append(inst.dual)
+    for m in codes:
+        keyparts.append(
+            [_class_sizes(eliminate_column(m, j))[0] for j in range(1, k + 1)]
+        )
 
     # minimum-weight codeword incidence counts
     keyparts.append(min_weight_vectors(inst.matrix)[1])
@@ -226,23 +219,15 @@ def domains_init(
 # pruning rules
 
 
-def build_ld_sets(mstd: FpMatrix) -> list[tuple[int, ...]]:
+def build_ld_sets(m: FpMatrix, pivots) -> list[tuple[int, ...]]:
     """For each non-pivot column, the minimally dependent set made of that
-    column and the pivot columns appearing in its expansion."""
+    column and the pivot columns appearing in its expansion.  pivots[r] is
+    the column where row r of m has its unit entry: 1..s for the code in
+    standard form, s+1..k for its dual."""
     out = []
-    for i in range(mstd.s + 1, mstd.k + 1):
-        members = [i] + [j for j in range(1, mstd.s + 1) if mstd.rows[j - 1][i - 1]]
-        out.append(tuple(members))
-    return out
-
-
-def build_dual_ld_sets(dual: FpMatrix, s: int) -> list[tuple[int, ...]]:
-    """Dependent sets of the dual code: each leading column together with
-    the trailing identity columns appearing in its expansion."""
-    out = []
-    for i in range(1, s + 1):
-        members = [i] + [s + j for j in range(1, dual.s + 1) if dual.rows[j - 1][i - 1]]
-        out.append(tuple(members))
+    for i in range(1, m.k + 1):
+        if i not in pivots:
+            out.append((i, *(c for c, row in zip(pivots, m.rows) if row[i - 1])))
     return out
 
 
@@ -269,14 +254,15 @@ def compare_stabs(
     mstab_im: FpMatrix,
     alpha,
     doms,
-    gate_dim: int | None = None,
     wcache: dict | None = None,
 ) -> tuple[bool, list[set[int]]]:
     """Compare stabiliser codes of the assigned orbits and their images:
     fail on mismatched dimensions or class-size multisets, refine the
-    domains of unassigned orbits by class size, and, when the heuristic
-    gate admits, fail on differing weight enumerators.  src_sizes is
-    _class_sizes(mstab), which the search computes once per depth."""
+    domains of unassigned orbits by class size, and fail on differing
+    weight enumerators unless weight_enumerator refuses them (both codes
+    have the same p^s, so it refuses both or neither).  src_sizes is
+    _class_sizes(mstab), which the search computes once per depth; wcache
+    keeps the enumerators by matrix rows."""
     doms = [set(x) for x in doms]
     if mstab.s != mstab_im.s:
         return False, doms
@@ -288,20 +274,12 @@ def compare_stabs(
     for i in range(d + 1, mstab.k + 1):
         want = src_per_col[i - 1]
         doms[i - 1] = {j for j in doms[i - 1] if im_per_col[j - 1] == want}
-    if gate_dim is not None and gate_dim * mstab.p <= WEIGHT_GATE:
-        if wcache is None:
-            wcache = {}
-        w1 = wcache.get(mstab.rows)
-        if w1 is None:
-            w1 = weight_enumerator(mstab)
-            wcache[mstab.rows] = w1
-        w2 = wcache.get(mstab_im.rows)
-        if w2 is None:
-            w2 = weight_enumerator(mstab_im)
-            wcache[mstab_im.rows] = w2
-        if w1 is not None and w2 is not None and w1 != w2:
-            return False, doms
-    return True, doms
+    if wcache is None:
+        wcache = {}
+    for m in (mstab, mstab_im):
+        if m.rows not in wcache:
+            wcache[m.rows] = weight_enumerator(m)
+    return wcache[mstab.rows] == wcache[mstab_im.rows], doms
 
 
 def deep_prune(mstd: FpMatrix, alpha, doms) -> list[set[int]]:
@@ -350,6 +328,21 @@ def all_diff_refiner(doms) -> list[set[int]] | None:
 # the search proper
 
 
+class _Code:
+    """A code the search prunes with: its dependent sets, and per depth d
+    the stabiliser code of columns 1..d with its column class sizes.
+    counter names the stats entry of the branches its stabilisers cut."""
+
+    def __init__(self, m: FpMatrix, pivots, counter: str, cfg: SearchConfig):
+        self.matrix = m
+        self.counter = counter
+        self.ld_sets = build_ld_sets(m, pivots) if cfg.use_lds else []
+        self.stabs = [m]
+        for dpth in range(1, m.k + 1):
+            self.stabs.append(eliminate_column(self.stabs[-1], dpth))
+        self.sizes = [_class_sizes(x) for x in self.stabs]
+
+
 class _Search:
     def __init__(
         self,
@@ -371,9 +364,7 @@ class _Search:
         self.deadline = (
             time.monotonic() + cfg.time_limit if cfg.time_limit is not None else None
         )
-        self.base_doms: list[set[int]] = []
-        self.src_stabs: list[FpMatrix] = []
-        self.src_stabs_dual: list[FpMatrix] = []
+        self.codes: list[_Code] = []
         self.col_lookup: dict[tuple[int, ...], int] = {}
         self.col_lead_inv: dict[int, int] = {}
         self.own_rep: CanonResult | None = None
@@ -413,23 +404,15 @@ class _Search:
         if self.domain_restrict is not None:
             for i in range(self.k):
                 doms[i] &= self.domain_restrict[i]
-        self.base_doms = [set(x) for x in doms]
 
-        self.ld_sets = build_ld_sets(inst.matrix) if cfg.use_lds else []
-        self.ld_sets_dual = (
-            build_dual_ld_sets(inst.dual, self.s)
-            if cfg.use_lds and inst.dual.s
-            else []
-        )
-        self.src_stabs = [inst.matrix]
-        self.src_stabs_dual = [inst.dual]
-        for dpth in range(1, self.k + 1):
-            self.src_stabs.append(eliminate_column(self.src_stabs[-1], dpth))
-            self.src_stabs_dual.append(
-                eliminate_column(self.src_stabs_dual[-1], dpth)
+        # the code (pivots 1..s) and, unless it is empty, its dual (pivots
+        # s+1..k): both have the monomial automorphisms the search seeks
+        k, s = self.k, self.s
+        self.codes = [_Code(inst.matrix, range(1, s + 1), "prune_stabs", cfg)]
+        if inst.dual.s:
+            self.codes.append(
+                _Code(inst.dual, range(s + 1, k + 1), "prune_stabs_dual", cfg)
             )
-        self.src_sizes = [_class_sizes(m) for m in self.src_stabs]
-        self.src_sizes_dual = [_class_sizes(m) for m in self.src_stabs_dual]
 
         if self.method == "limitdepth":
             # the non-pivot columns by normalised form, with the inverse of
@@ -443,13 +426,15 @@ class _Search:
                 lead = next(x for x in col if x)
                 self.col_lead_inv[t] = pow(lead, self.p - 2, self.p)
 
-        self._recurse((), doms, inst.matrix, inst.dual)
+        self._recurse((), doms, tuple(code.stabs[0] for code in self.codes))
 
         gens = tuple(self.found.gens)
         self.stats["search_ms"] = int((time.monotonic() - t0) * 1000)
         return NormalizerResult(gens, self.found.order(), dict(self.stats), self.method)
 
-    def _recurse(self, alpha, doms, im_stab, im_stab_dual):
+    def _recurse(self, alpha, doms, im_stabs):
+        """im_stabs holds, per entry of self.codes, the stabiliser code of
+        the images of the assigned orbits."""
         self._tick()
         d = len(alpha)
         inst, cfg = self.inst, self.cfg
@@ -469,35 +454,16 @@ class _Search:
                     return None
 
             if cfg.use_lds:
-                doms = check_lds(inst.matrix, self.ld_sets, alpha, doms)
-                if self.ld_sets_dual:
-                    doms = check_lds(inst.dual, self.ld_sets_dual, alpha, doms)
+                for code in self.codes:
+                    doms = check_lds(code.matrix, code.ld_sets, alpha, doms)
 
             if cfg.use_stabs:
-                ok, doms = compare_stabs(
-                    self.src_stabs[d],
-                    self.src_sizes[d],
-                    im_stab,
-                    alpha,
-                    doms,
-                    gate_dim=self.s - d,
-                    wcache=self.wcache,
-                )
-                if not ok:
-                    self.stats["prune_stabs"] += 1
-                    return None
-                if inst.dual.s:
+                for code, im_stab in zip(self.codes, im_stabs):
                     ok, doms = compare_stabs(
-                        self.src_stabs_dual[d],
-                        self.src_sizes_dual[d],
-                        im_stab_dual,
-                        alpha,
-                        doms,
-                        gate_dim=(self.k - self.s) - d,
-                        wcache=self.wcache,
+                        code.stabs[d], code.sizes[d], im_stab, alpha, doms, self.wcache
                     )
                     if not ok:
-                        self.stats["prune_stabs_dual"] += 1
+                        self.stats[code.counter] += 1
                         return None
 
             if cfg.use_deep and d > self.s:
@@ -523,8 +489,7 @@ class _Search:
             res = self._recurse(
                 alpha + (c,),
                 child,
-                eliminate_column(im_stab, c),
-                eliminate_column(im_stab_dual, c) if im_stab_dual.s else im_stab_dual,
+                tuple(eliminate_column(m, c) for m in im_stabs),
             )
             if res is not None and res < d:
                 return res
@@ -655,15 +620,10 @@ def _dual_swappable(inst: InPInstance, method: str) -> bool:
     variant additionally needs the dual orbits pairwise inequivalent."""
     if inst.s * 2 <= inst.k or inst.dual.s == 0:
         return False
-    cols = set()
-    for j in range(1, inst.k + 1):
-        col = normalized_column(inst.dual.col(j), inst.p)
-        if not any(col):
-            return False
-        cols.add(col)
-    if method == "limitdepth" and len(cols) != inst.k:
+    classes = column_equiv_classes(inst.dual)
+    if any(not any(inst.dual.col(cell[0])) for cell in classes):
         return False
-    return True
+    return method != "limitdepth" or len(classes) == inst.k
 
 
 def _search_with_dual_swap(

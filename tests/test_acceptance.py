@@ -35,7 +35,6 @@ from symnorm.perm import PermGroup, Permutation
 from symnorm.search import (
     SearchConfig,
     SearchTimeout,
-    full_search,
     norm_b,
     normalizer_in_sym,
 )
@@ -238,6 +237,7 @@ def test_criterion_5_orbit_fixing_part():
         grp = code_to_group(m)
         inst = build_instance(grp, 3)
         hset = {g.images for g in grp.elements()}
+        row_gens = [gamma_inv(inst, r) for r in inst.matrix.rows]
         per_orbit = []
         for i in range(k):
             opts = []
@@ -253,7 +253,7 @@ def test_criterion_5_orbit_fixing_part():
             b = combo[0]
             for extra in combo[1:]:
                 b = b * extra
-            if all(x.conj(b).images in hset for x in inst.standard_gens):
+            if all(x.conj(b).images in hset for x in row_gens):
                 brute.append(b)
         expected = PermGroup.from_gens(inst.degree, brute).order()
         got = PermGroup.from_gens(inst.degree, norm_b(inst)).order()

@@ -12,6 +12,7 @@ from symnorm.encode import (
     build_instance,
     code_to_group,
     exponent_scaling_perm,
+    gamma_inv,
     gamma_map,
 )
 from symnorm.gfp import (
@@ -190,6 +191,7 @@ class TestKappaFeasible:
         for p, m in cases:
             grp = code_to_group(m)
             inst = build_instance(grp, p)
+            row_gens = [gamma_inv(inst, r) for r in inst.matrix.rows]
             hset = {g.images for g in grp.elements()}
             k = inst.k
             # all of B = per-orbit affine normalisers
@@ -217,16 +219,14 @@ class TestKappaFeasible:
                     for extra in combo[1:]:
                         b = b * extra
                     elem = b * kap
-                    if all(
-                        x.conj(elem).images in hset for x in inst.standard_gens
-                    ):
+                    if all(x.conj(elem).images in hset for x in row_gens):
                         feasible = b
                         break
                 got = kappa_feasible(inst, pi)
                 assert (got is not None) == (feasible is not None)
                 if got is not None:
                     elem = got * kap
-                    for x in inst.standard_gens:
+                    for x in row_gens:
                         assert member_row_space(
                             gamma_map(inst, x.conj(elem)), inst.matrix
                         ) is not None

@@ -9,7 +9,7 @@ from symnorm.cli import gen_instance, random_full_rank
 from symnorm.dihedral import build_dihedral, normalizer_dihedral
 from symnorm.encode import NotInClass, code_to_group
 from symnorm.gfp import FpMatrix, matrix_rank
-from symnorm.oracle import brute_normalizer
+from symnorm.oracle import brute_normalizer, brute_normalizer_elements
 from symnorm.perm import PermGroup, Permutation
 from symnorm.search import SearchConfig, SearchTimeout
 
@@ -71,6 +71,25 @@ class TestBuildDihedral:
         assert inst.rotations.order() == 3
         assert inst.complement.order() == 2
         assert inst.alpha == (1, 4)
+
+    @pytest.mark.parametrize(
+        "degree, gens, order",
+        [
+            (3, [((2, 3),), ((1, 2),)], 6),
+            (6, [((2, 3), (5, 6)), ((1, 2), (4, 5))], 12),
+        ],
+    )
+    def test_reflections_only(self, degree, gens, order):
+        # no generator squares to a rotation; the rotations are the squares
+        # of the generators' products
+        grp = PermGroup.from_gens(degree, [P(degree, *c) for c in gens])
+        inst = build_dihedral(grp, 3)
+        assert inst.rotations.order() == 3
+        res = normalizer_dihedral(inst)
+        assert res.order == order
+        brute = {g.images for g in brute_normalizer_elements(grp)}
+        got = PermGroup.from_gens(degree, res.generators).elements()
+        assert {g.images for g in got} == brute
 
     def test_split_is_semidirect(self):
         rng = random.Random(3)

@@ -123,9 +123,10 @@ class TestBuildInstance:
             k = rng.randrange(1, 5)
             dim = rng.randrange(1, k + 1)
             inst = random_instance(rng, p, k, dim)
-            grp = PermGroup.from_gens(inst.degree, inst.standard_gens)
+            row_gens = [gamma_inv(inst, r) for r in inst.matrix.rows]
+            grp = PermGroup.from_gens(inst.degree, row_gens)
             assert grp.order() == p**inst.s
-            for i, x in enumerate(inst.standard_gens):
+            for i, x in enumerate(row_gens):
                 assert gamma_map(inst, x) == inst.matrix.rows[i]
             # every orbit bijection conjugates each orbit cycle onto the
             # cycle of the orbit it moves to
@@ -348,9 +349,10 @@ class TestCentralizer:
             k = rng.randrange(1, 4)
             dim = rng.randrange(1, k + 1)
             inst = random_instance(rng, p, k, dim)
-            c = centralizer(PermGroup.from_gens(inst.degree, inst.standard_gens), p)
+            row_gens = [gamma_inv(inst, r) for r in inst.matrix.rows]
+            c = centralizer(PermGroup.from_gens(inst.degree, row_gens), p)
             for g in c.generators:
-                for x in inst.standard_gens:
+                for x in row_gens:
                     assert x.conj(g) == x
 
 
@@ -362,7 +364,7 @@ class TestEquivSwap:
         lead2 = next(x for x in inst.matrix.col(2) if x)
         a = lead2 * pow(lead1, 1, 3) % 3
         sw = equiv_orbit_swap(inst, 1, 2, a)
-        x = inst.standard_gens[0]
+        x = gamma_inv(inst, inst.matrix.rows[0])
         assert x.conj(sw) == x
 
 
@@ -376,7 +378,9 @@ class TestReduce:
         grp = PermGroup.from_gens(6, [P(6, (1, 2, 3), (4, 5, 6))])
         red = reduce_equivalent_orbits(grp, 3)
         assert red.reduced.orbits == ((1, 2, 3),)
-        assert red.reduced.standard_gens == (P(6, (1, 2, 3)),)
+        assert [gamma_inv(red.reduced, r) for r in red.reduced.matrix.rows] == [
+            P(6, (1, 2, 3))
+        ]
         assert red.class_sizes == (2,)
         u = P(6, (2, 3))
         theta_u = red.theta(u)

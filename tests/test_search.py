@@ -21,6 +21,7 @@ from symnorm.gfp import (
     FpMatrix,
     InvariantViolation,
     column_equiv_classes,
+    dual_matrix,
     in_row_space,
     matrix_rank,
     member_row_space,
@@ -116,6 +117,7 @@ class TestNormB:
             grp = code_to_group(m)
             inst = build_instance(grp, 3)
             hset = {g.images for g in grp.elements()}
+            row_gens = [gamma_inv(inst, r) for r in inst.matrix.rows]
             per_orbit = []
             for i in range(k):
                 opts = []
@@ -131,7 +133,7 @@ class TestNormB:
                 b = combo[0]
                 for extra in combo[1:]:
                     b = b * extra
-                if all(x.conj(b).images in hset for x in inst.standard_gens):
+                if all(x.conj(b).images in hset for x in row_gens):
                     brute.append(b)
             expected = PermGroup.from_gens(inst.degree, brute).order()
             got = PermGroup.from_gens(inst.degree, norm_b(inst)).order()
@@ -144,9 +146,10 @@ class TestDomainsInit:
         found = FoundGroup(inst)
         doms = domains_init(inst, found)
         assert doms == [{1, 2, 3}] * 3
+        row_gens = [gamma_inv(inst, r) for r in inst.matrix.rows]
         # the dual swaps already generate the full orbit exchange
         for g in found.gens:
-            for x in inst.standard_gens:
+            for x in row_gens:
                 assert member_row_space(
                     gamma_map(inst, x.conj(g)), inst.matrix
                 ) is not None
@@ -179,7 +182,7 @@ class TestCheckLds:
         # the images of orbits 1,2 span the whole space, so the span test
         # alone removes nothing (distinctness is enforced elsewhere)
         inst = build_instance(e1_group(), 2)
-        lds = build_ld_sets(inst.matrix)
+        lds = build_ld_sets(inst.matrix, range(1, 3))
         assert lds == [(3, 1, 2)]
         doms = check_lds(inst.matrix, lds, (1, 2), [{1, 2, 3}] * 3)
         assert doms[2] == {1, 2, 3}
@@ -188,18 +191,35 @@ class TestCheckLds:
 
     def test_no_trigger_without_single_unassigned(self):
         inst = build_instance(e1_group(), 2)
-        lds = build_ld_sets(inst.matrix)
+        lds = build_ld_sets(inst.matrix, range(1, 3))
         doms = check_lds(inst.matrix, lds, (1,), [{1, 2, 3}] * 3)
         assert doms == [{1, 2, 3}] * 3
 
     def test_restriction_to_span(self):
         m = M(2, [[1, 0, 1, 1], [0, 1, 0, 1]])
-        lds = build_ld_sets(m)
+        lds = build_ld_sets(m, range(1, 3))
         assert lds == [(3, 1), (4, 1, 2)]
         # orbit 1 mapped to 2: the image of orbit 3 must lie in <col 2>
         doms = check_lds(m, lds, (2,), [{1, 2, 3, 4}] * 4)
         assert doms[2] == {2}
         assert doms[3] == {1, 2, 3, 4}  # its set still has two unassigned
+
+    def test_dual_sets(self):
+        # the dual of the code above is (-M0^T | I_2) = [[1,0,1,0],[1,1,0,1]]
+        # over F_2, with its unit columns 3 and 4: column 1 is their sum and
+        # column 2 equals column 4
+        m = M(2, [[1, 0, 1, 1], [0, 1, 0, 1]])
+        dual = dual_matrix(m)
+        assert dual.rows == ((1, 0, 1, 0), (1, 1, 0, 1))
+        lds = build_ld_sets(dual, range(3, 5))
+        assert lds == [(1, 3, 4), (2, 4)]
+        # one assigned orbit leaves two unassigned members in each set
+        doms = check_lds(dual, lds, (1,), [{1, 2, 3, 4}] * 4)
+        assert doms == [{1, 2, 3, 4}] * 4
+        # orbit 2 mapped to 2: the image of orbit 4 must lie in the span of
+        # dual column 2, (0, 1), which holds columns 2 and 4
+        doms = check_lds(dual, lds, (4, 2), [{1, 2, 3, 4}] * 4)
+        assert doms == [{1, 2, 3, 4}] * 3 + [{2, 4}]
 
 
 class TestCompareStabs:
@@ -211,7 +231,6 @@ class TestCompareStabs:
             inst.matrix,
             (),
             [{1, 2, 3}] * 3,
-            gate_dim=None,
         )
         assert ok and doms == [{1, 2, 3}] * 3
 
@@ -228,12 +247,21 @@ class TestCompareStabs:
         sizes = _class_sizes(a)
         assert sizes[0] == _class_sizes(b)[0]
         assert weight_enumerator(a) != weight_enumerator(b)
-        ok, _ = compare_stabs(a, sizes, b, (1,), [{1, 2, 3, 4, 5}] * 5, gate_dim=2)
+        ok, _ = compare_stabs(a, sizes, b, (1,), [{1, 2, 3, 4, 5}] * 5)
         assert not ok
-        # with the gate closed the same pair passes
-        ok2, _ = compare_stabs(
-            a, sizes, b, (1,), [{1, 2, 3, 4, 5}] * 5, gate_dim=99
+        # the same pair widened to 2^18 words, past weight_enumerator's
+        # budget: it refuses both codes and the pair passes
+        s, k = 18, 21
+        unit = [[int(i == j) for j in range(s)] for i in range(s)]
+        a = M(2, [row + [0, 0, 0] for row in unit])
+        b = M(2, [row + [0, row[-1], row[-1]] for row in unit])
+        sizes = _class_sizes(a)
+        assert sizes[0] == _class_sizes(b)[0]
+        assert weight_enumerator(a) is None
+        assert weight_enumerator(a, budget=1 << 18) != weight_enumerator(
+            b, budget=1 << 18
         )
+        ok2, _ = compare_stabs(a, sizes, b, (1,), [set(range(1, k + 1))] * k)
         assert ok2
 
     def test_dimension_mismatch_fails(self):
@@ -296,8 +324,9 @@ class TestFullSearch:
             m = random_code(rng, p, k, dim, distinct_cols=True)
             inst = build_instance(code_to_group(m), p)
             res = full_search(inst)
+            row_gens = [gamma_inv(inst, r) for r in inst.matrix.rows]
             for g in res.generators:
-                for x in inst.standard_gens:
+                for x in row_gens:
                     assert member_row_space(
                         gamma_map(inst, x.conj(g)), inst.matrix
                     ) is not None
