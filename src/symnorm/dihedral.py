@@ -1,10 +1,22 @@
 """Normalisers for groups whose orbit restrictions are dihedral of order 2p.
 
-Such a group splits over its odd part: the rotations form a normal
-subgroup living in the cyclic class, and a complement of involutions can
-be chosen whose restriction to each orbit fixes exactly one point.  The
-normaliser is then assembled from two cyclic-class searches: one for the
-complement acting on a transversal of two-point blocks, one for the
+Recognition works in coordinates.  On each orbit the rotations are the
+powers of one p-cycle, normalised as encode.build_instance does: it starts
+at the least point and steps to the next-smallest.  In these cycles every
+element is a pair (eps, b) of a sign pattern and a shift vector: on orbit i
+it sends the u-th point of the cycle to the (eps_i u + b_i)-th, with
+eps_i = +-1.  The rotations R = H^2 are the elements with eps = 1.  Their
+shifts form the rotation code, the least F_p subspace that holds the
+shifts of the squares of the generators and of their pairwise products and
+is closed under each generator's sign flip v -> eps o v (conjugation).
+The group splits over R (Schur-Zassenhaus), and every complement of
+involutions is the stabiliser of one point alpha_i per orbit.  alpha comes
+in closed form: it is the point fixed by the complement found by averaging
+a section through F_2 pivot generators over their 2^rank patterns, so the
+complement costs O(rank) per orbit and its rank has no limit.
+
+The normaliser is then assembled from two cyclic-class searches: one for
+the complement acting on a transversal of two-point blocks, one for the
 rotation part with the orbit permutations restricted to those induced by
 the first.  Each generator of the rotation normaliser is lifted by the one
 per-orbit rotation that sends the fixed points back onto fixed points.
@@ -14,16 +26,18 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
+from itertools import chain, combinations
 
-from symnorm.encode import InPInstance, NotInClass, build_instance, gamma_inv
-from symnorm.gfp import InvariantViolation, PrimeField, is_prime
-from symnorm.perm import (
-    PermGroup,
-    Permutation,
-    normal_closure,
-    orbits_of,
-    restrict_to,
+from symnorm.encode import (
+    InPInstance,
+    NotInClass,
+    affine_perm,
+    gamma_inv,
+    instance_from_code,
+    normalised_cycle,
 )
+from symnorm.gfp import InvariantViolation, PrimeField, VectorSpan, is_prime
+from symnorm.perm import PermGroup, Permutation, orbits_of, restrict_to
 from symnorm.search import (
     NormalizerResult,
     SearchConfig,
@@ -32,15 +46,13 @@ from symnorm.search import (
     verify_normalises,
 )
 
-_COMPLEMENT_RANK_LIMIT = 20  # 2^rank sections are enumerated
-
 
 @dataclass(frozen=True, eq=False)
 class DihedralInstance:
     """A recognised orbit-wise dihedral group with its split: rotations,
-    an involution complement, and per orbit the complement's reflection,
-    the point it fixes and a rotation cycle rooted there.  Orbits are in
-    the order of the rotation part's cyclic-class instance."""
+    an involution complement and, per orbit, the point the complement
+    fixes and a rotation cycle rooted there.  Orbits are in the order of
+    the rotation part's cyclic-class instance."""
 
     field: PrimeField
     degree: int
@@ -49,7 +61,6 @@ class DihedralInstance:
     rotations: PermGroup  # the odd part, orbit-wise cyclic
     complement: PermGroup  # elementary abelian complement of involutions
     alpha: tuple[int, ...]  # alpha[i] is the point of orbit i fixed by it
-    reflections: tuple[Permutation, ...]  # restriction of the complement per orbit
     cycles: tuple[tuple[int, ...], ...]  # cycles[i][0] == alpha[i]
     rot_inst: InPInstance  # the rotations, in the same orbit order
 
@@ -62,61 +73,42 @@ class DihedralInstance:
         return len(self.orbits)
 
 
-def _two_part_complement(H: PermGroup, patterns, p: int):
-    """An elementary abelian 2-complement to the rotation subgroup.
+def _compose(x, y):
+    """The coordinates (eps, b) of x * y: apply x, then y."""
+    (ex, bx), (ey, by) = x, y
+    return (
+        tuple(e * f for e, f in zip(ex, ey)),
+        tuple(f * b + c for f, b, c in zip(ey, bx, by)),
+    )
 
-    patterns maps chosen generators of H to their reflection pattern over
-    the orbits (a vector over F_2); the section through pattern-pivot
-    generators is averaged over the pattern group to make it a
-    homomorphism, which works because the rotation part is abelian of odd
-    exponent p.  Returns involution generators, one per pivot.
-    """
-    pivots: list[tuple[tuple[int, ...], Permutation]] = []
-    for x, vec in patterns.items():
-        w = list(vec)
-        elem = x
-        for pvec, pelem in pivots:
-            lead = next(i for i, v in enumerate(pvec) if v)
-            if w[lead]:
-                w = [(a + b) % 2 for a, b in zip(w, pvec)]
-                elem = elem * pelem  # involution pattern adds mod 2
-        if any(w):
-            pivots.append((tuple(w), elem))
-    rank = len(pivots)
-    if rank == 0:
-        return []
-    if rank > _COMPLEMENT_RANK_LIMIT:
-        raise NotInClass(
-            f"complement rank {rank} exceeds the supported limit "
-            f"{_COMPLEMENT_RANK_LIMIT}"
-        )
-    ident = Permutation.identity(H.degree)
 
-    # fixed section through the pivot elements, indexed by coefficient bits
-    section: dict[tuple[int, ...], Permutation] = {(0,) * rank: ident}
-    for bits in sorted(
-        (tuple((m >> i) & 1 for i in range(rank)) for m in range(1, 2**rank))
-    ):
-        g = ident
-        for i, bit in enumerate(bits):
-            if bit:
-                g = g * pivots[i][1]
-        section[bits] = g
+def _rotation_cycle(gens, orb, p: int):
+    """The normalised p-cycle of the rotations on orb, read from a generator
+    that is a p-cycle there or else from the first generator moving orb
+    times another one (two distinct reflections); None if there is none."""
+    moving = next(x for x in gens if any(x.image(q) != q for q in orb))
+    tries = chain(gens, (moving * y for y in gens))
+    return next(filter(None, (normalised_cycle(g, orb, p) for g in tries)), None)
 
-    m = 2**rank
-    lam = pow(m % p, -1, p)
-    gens = []
-    for i in range(rank):
-        q = tuple(1 if j == i else 0 for j in range(rank))
-        sq = section[q]
-        acc = ident
-        for r, sr in section.items():
-            qr = tuple((a + b) % 2 for a, b in zip(q, r))
-            fqr = sq * sr * section[qr].inverse()
-            acc = acc * fqr  # rotation part is abelian, order is irrelevant
-        correction = acc ** (-lam % p)
-        gens.append(correction * sq)
-    return gens
+
+def _coordinates(x: Permutation, cycles, where, p: int):
+    """The coordinates (eps, b) of x on the orbit cycles; where[i] maps a
+    point of cycles[i] to its position.  NotInClass unless x acts on every
+    orbit as u -> +-u + b."""
+    eps, shift = [], []
+    for cyc, pos in zip(cycles, where):
+        b = pos[x.image(cyc[0])]
+        e = (pos[x.image(cyc[1])] - b) % p
+        if e not in (1, p - 1) or any(
+            x.image(cyc[u]) != cyc[(e * u + b) % p] for u in range(p)
+        ):
+            raise NotInClass(
+                f"generator {x!r} acts on orbit {sorted(cyc)} neither as a "
+                "rotation nor as a reflection"
+            )
+        eps.append(1 if e == 1 else -1)
+        shift.append(b)
+    return tuple(eps), tuple(shift)
 
 
 def build_dihedral(H: PermGroup, p: int) -> DihedralInstance:
@@ -127,95 +119,84 @@ def build_dihedral(H: PermGroup, p: int) -> DihedralInstance:
     support = H.support()
     if not support:
         raise NotInClass("the trivial group has no dihedral orbits")
-    orbits = [tuple(o) for o in orbits_of(H.generators, support)]
-    for orb in orbits:
-        if len(orb) != p:
-            raise NotInClass(f"orbit {list(orb)} has size {len(orb)}, expected {p}")
-        restr = PermGroup.from_gens(H.degree, [restrict_to(x, orb) for x in H.generators])
-        if restr.order() != 2 * p:
-            raise NotInClass(
-                f"restriction to orbit {list(orb)} has order {restr.order()}, "
-                f"expected {2 * p}"
-            )
-
-    # rotations: H^2, the normal closure of the squares of the generators
-    # and of their pairwise products (modulo those, the generators are
-    # commuting involutions); the rotations are of odd order, so H^2 is all
-    # of them.  A reflection-only generating set needs the products.
     gens = H.generators
-    squares = [x * x for x in gens]
-    rotations = normal_closure(gens, squares, H.degree)
-    pair_squares = ((x * y) ** 2 for i, x in enumerate(gens) for y in gens[i + 1 :])
-    extra = [g for g in pair_squares if not rotations.contains(g)]
-    if extra:
-        rotations = normal_closure(gens, squares + extra, H.degree)
-    if rotations.is_trivial():
-        raise NotInClass("no rotations: restrictions are not dihedral")
-    rot_inst = build_instance(rotations, p)
-    if set(rot_inst.orbits) != set(orbits):
-        raise NotInClass("rotation part does not act on every orbit")
-
-    # reflection patterns of the generators over the orbits
-    patterns = {}
-    for x in H.generators:
-        vec = []
-        for orb in orbits:
-            r = restrict_to(x, orb)
-            if r.is_identity() or _is_rotation(r, orb):
-                vec.append(0)
-            else:
-                vec.append(1)
-        patterns[x] = tuple(vec)
-    comp_gens = _two_part_complement(H, patterns, p)
-    complement = PermGroup.from_gens(H.degree, comp_gens)
-    for g in complement.generators:
-        if not (g * g).is_identity():
-            raise InvariantViolation("complement generators must be involutions")
-
-    # per orbit: reflection, fixed point, and the cycle of the first
-    # rotation generator moving the orbit, rooted at the fixed point
-    reflections = []
-    alphas = []
     cycles = []
-    for orb in rot_inst.orbits:
-        refl = None
-        for g in comp_gens:
-            r = restrict_to(g, orb)
-            if not r.is_identity():
-                if refl is not None and r != refl:
-                    raise NotInClass("complement restriction is not order two")
-                refl = r
-        if refl is None:
-            raise NotInClass(f"complement acts trivially on orbit {list(orb)}")
-        fixed = [q for q in orb if refl.image(q) == q]
-        if len(fixed) != 1:
-            raise NotInClass("orbit reflection must fix exactly one point")
-        g0 = next(x for x in rotations.generators if x.image(orb[0]) != orb[0])
-        cyc = [fixed[0]]
-        while len(cyc) < p:
-            cyc.append(g0.image(cyc[-1]))
-        reflections.append(refl)
-        alphas.append(fixed[0])
-        cycles.append(tuple(cyc))
+    for orb in orbits_of(gens, support):
+        if len(orb) != p:
+            raise NotInClass(f"orbit {orb} has size {len(orb)}, expected {p}")
+        cyc = _rotation_cycle(gens, orb, p)
+        if cyc is None:
+            raise NotInClass(f"no rotation of orbit {orb}: it is not dihedral")
+        cycles.append(cyc)
+    where = [{pt: u for u, pt in enumerate(cyc)} for cyc in cycles]
+    coords = [_coordinates(x, cycles, where, p) for x in gens]
+    for i, cyc in enumerate(cycles):
+        if all(e[i] == 1 for e, _ in coords):
+            raise NotInClass(f"no reflection of orbit {sorted(cyc)}: it is cyclic")
 
+    # rotations R = H^2: modulo the squares of the generators and of their
+    # pairwise products the generators are commuting involutions, and R is
+    # of odd order.  Its code is spanned by those squares' shifts and
+    # closed under the generators' sign flips, which is conjugation.
+    pairs = (_compose(x, y) for x, y in combinations(coords, 2))
+    squares = [_compose(x, x)[1] for x in chain(coords, pairs)]
+    flips = {e for e, _ in coords}
+    span, todo = VectorSpan(p), list(squares)
+    while todo:
+        v = todo.pop()
+        if span.add(v):
+            todo += [[e * c for e, c in zip(f, v)] for f in flips]
+    rot_inst = instance_from_code(PrimeField(p), H.degree, cycles, span.rows)
+
+    # complement: F_2 elimination of the sign patterns in generator order,
+    # each pivot tracked as (eps, b).  Averaging the section through the
+    # pivots over its m = 2^rank elements s_r gives the complement fixing
+    # alpha = -T / m, T = sum_r eps_r o b_r; fold T over the pivots with
+    # E = sum_r eps_r.  Pivot q becomes the involution with pattern eps_q
+    # fixing alpha, whose shift is (1 - eps_q) o alpha.
+    pivots = []
+    for x in coords:
+        for q in pivots:
+            if x[0][q[0].index(-1)] < 0:
+                x = _compose(x, q)
+        if -1 in x[0]:
+            pivots.append(x)
+    total, signs = [0] * len(cycles), [1] * len(cycles)
+    for e, b in pivots:
+        total = [(2 * t + f * c * s) % p for t, f, c, s in zip(total, e, b, signs)]
+        signs = [s * (1 + f) % p for s, f in zip(signs, e)]
+    alpha = [-t * pow(2, -len(pivots), p) % p for t in total]
+
+    # the same in the orbit order of rot_inst.  The transversal blocks
+    # follow, per orbit, the cycle of the first square to move it, rooted at
+    # alpha; another step picks other blocks, so other block-search
+    # counters, though never another order.
+    order = [cycles.index(c) for c in rot_inst.orbit_cycles]
+    steps = [next(v[j] for v in squares if v[j] % p) for j in order]
+    rooted = [
+        tuple(cycles[j][(alpha[j] + u * r) % p] for u in range(p))
+        for j, r in zip(order, steps)
+    ]
+    complement = [
+        affine_perm(
+            rot_inst,
+            scale=[e[j] % p for j in order],
+            shift=[(1 - e[j]) * alpha[j] for j in order],
+        )
+        for e, _ in pivots
+    ]
+    rotations = [gamma_inv(rot_inst, r) for r in rot_inst.matrix.rows]
     return DihedralInstance(
         field=rot_inst.field,
         degree=H.degree,
         group=H,
         orbits=rot_inst.orbits,
-        rotations=rotations,
-        complement=complement,
-        alpha=tuple(alphas),
-        reflections=tuple(reflections),
-        cycles=tuple(cycles),
+        rotations=PermGroup.from_gens(H.degree, rotations),
+        complement=PermGroup.from_gens(H.degree, complement),
+        alpha=tuple(c[0] for c in rooted),
+        cycles=tuple(rooted),
         rot_inst=rot_inst,
     )
-
-
-def _is_rotation(r: Permutation, orb) -> bool:
-    """True when the restriction moves every point of its orbit (an
-    involution fixes one)."""
-    return all(r.image(q) != q for q in orb)
 
 
 def _transversal_blocks(inst: DihedralInstance) -> list[tuple[int, int]]:

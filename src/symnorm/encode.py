@@ -30,7 +30,7 @@ from symnorm.gfp import (
     matrix_rank,
     rref_standard,
 )
-from symnorm.perm import PermGroup, Permutation, orbits_of, restrict_to
+from symnorm.perm import PermGroup, Permutation, orbits_of
 
 
 class NotInClass(Exception):
@@ -109,8 +109,10 @@ class InPInstance:
         return self.matrix.s
 
 
-def _orbit_cycle(g: Permutation, orbit, p: int):
-    """The cycle (base, base^g, ...) of g on its orbit, or None if not a p-cycle."""
+def normalised_cycle(g: Permutation, orbit, p: int):
+    """The power of g's cycle on its orbit that starts at the least point
+    and steps to the next-smallest, or None if g is not a p-cycle there;
+    rebuilding a group from its code on these cycles reproduces the code."""
     base = min(orbit)
     cyc = [base]
     cur = g.image(base)
@@ -121,7 +123,8 @@ def _orbit_cycle(g: Permutation, orbit, p: int):
         cur = g.image(cur)
     if len(cyc) != p or set(cyc) != set(orbit):
         return None
-    return tuple(cyc)
+    r = cyc.index(min(cyc[1:]))
+    return tuple(cyc[u * r % p] for u in range(p))
 
 
 def build_instance(H: PermGroup, p: int) -> InPInstance:
@@ -142,16 +145,12 @@ def build_instance(H: PermGroup, p: int) -> InPInstance:
 
     cycles: list[tuple[int, ...]] = []
     for orb in orbits:
-        g = next((x for x in H.generators if any(x.image(q) != q for q in orb)), None)
-        if g is None:
-            raise NotInClass(f"no generator moves orbit {list(orb)}")
-        cyc = _orbit_cycle(restrict_to(g, orb), orb, p)
+        # orbits of the support: some generator moves every one
+        g = next(x for x in H.generators if any(x.image(q) != q for q in orb))
+        cyc = normalised_cycle(g, orb, p)
         if cyc is None:
             raise NotInClass(f"restriction to orbit {list(orb)} is not a p-cycle")
-        # normalise to the power sending the minimum to the next-smallest
-        # point, so rebuilding a group from its code reproduces the code
-        r = cyc.index(orb[1])
-        cycles.append(tuple(cyc[u * r % p] for u in range(p)))
+        cycles.append(cyc)
 
     # exponent vectors of the generators; also verifies cyclic restrictions
     pos = [{pt: u for u, pt in enumerate(cyc)} for cyc in cycles]

@@ -485,9 +485,6 @@ class PermGroup:
     def contains(self, g: Permutation) -> bool:
         return self.chain().contains(g)
 
-    def is_trivial(self) -> bool:
-        return not self.generators
-
     def support(self) -> list[int]:
         pts: set[int] = set()
         for g in self.generators:
@@ -511,23 +508,6 @@ class PermGroup:
                         nxt.append(prod)
             frontier = nxt
         return sorted(seen.values(), key=lambda x: x.images)
-
-
-def normal_closure(group_gens, subset_gens, degree: int) -> PermGroup:
-    """Normal closure of <subset_gens> under the group <group_gens>."""
-    closure = [g for g in subset_gens if not g.is_identity()]
-    chain = StabChain(degree, closure)
-    frontier = list(closure)
-    while frontier:
-        work, frontier = frontier, []
-        for h in work:
-            for g in group_gens:
-                c = h.conj(g)
-                if not chain.contains(c):
-                    closure.append(c)
-                    chain.extend(c)
-                    frontier.append(c)
-    return PermGroup.from_gens(degree, closure)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 import itertools
 import random
 
+import pytest
+
 from symnorm.canon import (
     canonical_rep,
     kappa_feasible,
@@ -21,10 +23,15 @@ from symnorm.gfp import (
     mat_mul,
     matrix_rank,
     member_row_space,
+    rref_standard,
 )
 from symnorm.oracle import brute_canon_rep
 from symnorm.perm import PermGroup, Permutation
 
+try:
+    from hypothesis import assume, given, settings, strategies as st
+except ImportError:
+    given = None
 
 def M(p, rows):
     return FpMatrix.from_rows(p, rows)
@@ -132,12 +139,33 @@ class TestCanonicalRep:
             for _ in range(25):
                 r, diag = random_f_action(rng, p, s, k)
                 moved = apply_f(a, r, diag)
-                from symnorm.gfp import rref_standard
-
                 red = rref_standard(moved)
                 if not red.is_standard:
                     continue
                 assert canonical_rep(red.mstd).rep == rep
+
+    @pytest.mark.skipif(given is None, reason="needs hypothesis")
+    def test_invariant_under_column_moves(self):
+        # a code with its columns permuted, then scaled, has the canonical
+        # representative of the permuted code alone
+        @settings(max_examples=200, deadline=None)
+        @given(st.data())
+        def check(data):
+            p = data.draw(st.sampled_from([2, 3, 5, 7]))
+            k = data.draw(st.integers(1, 6))
+            s = data.draw(st.integers(1, k))
+            row = st.lists(st.integers(0, p - 1), min_size=k - s, max_size=k - s)
+            free = data.draw(st.lists(row, min_size=s, max_size=s))
+            a = M(p, [[int(i == j) for j in range(s)] + free[i] for i in range(s)])
+            moved = a.permute_columns(tuple(data.draw(st.permutations(range(1, k + 1)))))
+            scale = data.draw(st.lists(st.integers(1, p - 1), min_size=k, max_size=k))
+            red = rref_standard(moved)
+            assume(red.is_standard)
+            scaled = M(p, [[x * d % p for x, d in zip(r, scale)] for r in moved.rows])
+            rep = canonical_rep(rref_standard(scaled).mstd).rep
+            assert rep == canonical_rep(red.mstd).rep
+
+        check()
 
     def test_minimality_exhaustive_small(self):
         for p in (2, 3):

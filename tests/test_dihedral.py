@@ -1,3 +1,5 @@
+import itertools
+import math
 import random
 from types import SimpleNamespace
 
@@ -5,12 +7,12 @@ import pytest
 
 import symnorm.dihedral as dihedral_module
 import symnorm.search as search_module
-from symnorm.cli import gen_instance, random_full_rank
+from symnorm.cli import gen_instance, main, random_full_rank
 from symnorm.dihedral import build_dihedral, normalizer_dihedral
 from symnorm.encode import NotInClass, code_to_group
 from symnorm.gfp import FpMatrix, matrix_rank
 from symnorm.oracle import brute_normalizer, brute_normalizer_elements
-from symnorm.perm import PermGroup, Permutation
+from symnorm.perm import PermGroup, Permutation, format_group, orbits_of
 from symnorm.search import SearchConfig, SearchTimeout
 
 
@@ -53,6 +55,72 @@ def random_dihedral(rng, p, k, dim_p, dim_2):
             return m
 
     return dihedral_group_from_codes(p, code(p, dim_p), code(2, dim_2))
+
+
+def dihedral_power(p, k):
+    """(D_p)^k on consecutive p-blocks: per block a rotation and the
+    reflection fixing the block's first point."""
+    n = p * k
+    gens = []
+    for b in range(0, n, p):
+        gens.append(P(n, tuple(range(b + 1, b + p + 1))))
+        gens.append(P(n, *[(b + 1 + u, b + 1 + p - u) for u in range(1, (p + 1) // 2)]))
+    return gens
+
+
+def word_generated(rng, degree, gens):
+    """The same group on generators that are words in the given ones: one
+    generator at a time is multiplied by another (Nielsen moves), then the
+    list is shuffled and every point relabelled at random."""
+    gens = list(gens)
+    for _ in range(3 * len(gens)):
+        i, j = rng.sample(range(len(gens)), 2)
+        gens[i] = gens[i] * gens[j] if rng.random() < 0.5 else gens[j] * gens[i]
+    rng.shuffle(gens)
+    imgs = list(range(1, degree + 1))
+    rng.shuffle(imgs)
+    sigma = Permutation(imgs)
+    return PermGroup.from_gens(degree, [g.conj(sigma) for g in gens])
+
+
+def section_average_complement(grp, p):
+    """The complement as a section through F_2 pivot generators of the
+    reflection patterns, averaged over all 2^rank patterns: the cocycle of
+    the section is a product of commuting rotations of odd order p, so its
+    (1/2^rank)-th power corrects the section to a homomorphism.  Costs
+    2^rank products; an oracle for the closed form."""
+    orbits = orbits_of(grp.generators, grp.support())
+    pivots = []
+    for x in grp.generators:
+        # a reflection of an orbit fixes exactly one of its points
+        w = [int(sum(x.image(q) == q for q in orb) == 1) for orb in orbits]
+        elem = x
+        for pvec, pelem in pivots:
+            if w[pvec.index(1)]:
+                w = [a ^ b for a, b in zip(w, pvec)]
+                elem = elem * pelem
+        if any(w):
+            pivots.append((w, elem))
+    rank = len(pivots)
+    ident = Permutation.identity(grp.degree)
+    section = {}
+    for bits in itertools.product((0, 1), repeat=rank):
+        g = ident
+        for bit, (_, pelem) in zip(bits, pivots):
+            if bit:
+                g = g * pelem
+        section[bits] = g
+    lam = pow(2**rank, -1, p)
+    gens = []
+    for i in range(rank):
+        q = tuple(int(j == i) for j in range(rank))
+        sq = section[q]
+        acc = ident
+        for r, sr in section.items():
+            qr = tuple(a ^ b for a, b in zip(q, r))
+            acc = acc * (sq * sr * section[qr].inverse())
+        gens.append(acc ** (-lam % p) * sq)
+    return gens
 
 
 class TestBuildDihedral:
@@ -109,15 +177,60 @@ class TestBuildDihedral:
             for x in grp.generators:
                 for r in hp.generators:
                     assert hp_chain.contains(r.conj(x))
-            # the complement fixes exactly one point per orbit
+            # the complement fixes exactly one point per orbit, alpha
             for i, orb in enumerate(inst.orbits):
-                refl = inst.reflections[i]
-                assert sum(1 for q in orb if refl.image(q) == q) == 1
+                fixed = [q for q in orb if all(g.image(q) == q for g in h2.generators)]
+                assert fixed == [inst.alpha[i]]
+
+    @pytest.mark.parametrize("p", [3, 5, 7])
+    def test_complement_matches_section_average(self, p):
+        # word-generated instances with complement ranks 1-10, every point
+        # relabelled; the generators must agree, in order
+        rng = random.Random(p)
+        for rank in range(1, 11):
+            k = rank + rng.randrange(3)
+            base = random_dihedral(rng, p, k, rng.randrange(1, k + 1), rank)
+            grp = word_generated(rng, base.degree, base.generators)
+            inst = build_dihedral(grp, p)
+            assert inst.complement.order() == 2**rank
+            assert list(inst.complement.generators) == section_average_complement(grp, p)
+
+    def test_complement_matches_section_average_tuple_backing(self):
+        rng = random.Random(259)
+        base = random_dihedral(rng, 7, 37, 3, 5)
+        grp = word_generated(rng, base.degree, base.generators)
+        assert grp.degree == 259
+        inst = build_dihedral(grp, 7)
+        assert list(inst.complement.generators) == section_average_complement(grp, 7)
+
+    def test_rank_has_no_limit(self):
+        grp = PermGroup.from_gens(63, dihedral_power(3, 21))
+        inst = build_dihedral(grp, 3)
+        assert inst.rot_inst.s == 21
+        assert inst.complement.order() == 2**21
 
     def test_rejects_cyclic_only(self):
         grp = PermGroup.from_gens(6, [P(6, (1, 2, 3), (4, 5, 6))])
         with pytest.raises(NotInClass):
             build_dihedral(grp, 3)
+
+    @pytest.mark.parametrize(
+        "degree, gens",
+        [
+            (5, [((1, 2, 3, 4, 5),), ((2, 3, 5, 4),)]),  # AGL(1, 5)
+            (5, [((1, 2, 3, 4, 5),), ((1, 2),)]),  # S_5
+            (6, [((1, 2, 3),), ((4, 5, 6),), ((5, 6),)]),  # [1, 2, 3] cyclic
+        ],
+    )
+    def test_rejects_other_orbit_groups(self, degree, gens, tmp_path, capsys):
+        grp = PermGroup.from_gens(degree, [P(degree, *c) for c in gens])
+        p = 5 if degree == 5 else 3
+        with pytest.raises(NotInClass, match=r"orbit \[1, 2, 3"):
+            build_dihedral(grp, p)
+        path = tmp_path / "grp.txt"
+        path.write_text(format_group(p, degree, grp.generators))
+        assert main(["compute", "--in", str(path), "--method", "dihedral"]) == 2
+        assert "error" in capsys.readouterr().err
 
     def test_rejects_wrong_size(self):
         grp = PermGroup.from_gens(4, [P(4, (1, 2, 3, 4)), P(4, (2, 4))])
@@ -218,6 +331,35 @@ class TestNormalizerDihedral:
         with pytest.raises(SearchTimeout):
             normalizer_dihedral(inst, SearchConfig(time_limit=limit))
         assert normalizer_dihedral(inst, SearchConfig(time_limit=total)).order == full.order
+
+
+class TestClosedOrders:
+    # N_{S_p}(D_p) = AGL(1, p), so the normaliser of (D_p)^k is
+    # AGL(1, p) wr S_k, of order (p (p - 1))^k k!
+    @pytest.mark.parametrize(
+        "p, k", [(3, 1), (3, 4), (3, 12), (5, 2), (5, 7), (5, 12), (7, 3), (7, 12)]
+    )
+    def test_dihedral_power(self, p, k):
+        expect = (p * (p - 1)) ** k * math.factorial(k)
+        grp = PermGroup.from_gens(p * k, dihedral_power(p, k))
+        assert normalizer_dihedral(build_dihedral(grp, p)).order == expect
+        scrambled = word_generated(random.Random(k), p * k, grp.generators)
+        assert normalizer_dihedral(build_dihedral(scrambled, p)).order == expect
+
+    # one reflection of every orbit over rotations whose code is the direct
+    # sum of t repetition codes of length b: the normaliser is MAut(C) times
+    # the p^t translations in C, (p - 1)^t (b!)^t t! p^t
+    @pytest.mark.parametrize(
+        "p, t, b", [(3, 1, 4), (5, 2, 3), (7, 3, 2), (3, 2, 6), (5, 3, 4), (7, 4, 3)]
+    )
+    def test_one_reflection_repetition_blocks(self, p, t, b):
+        k = t * b
+        rot = M(p, [[int(i // b == j) for i in range(k)] for j in range(t)])
+        grp = dihedral_group_from_codes(p, rot, M(2, [[1] * k]))
+        inst = build_dihedral(grp, p)
+        assert inst.rot_inst.s == t < k
+        expect = (p * (p - 1)) ** t * math.factorial(b) ** t * math.factorial(t)
+        assert normalizer_dihedral(inst).order == expect
 
 
 class TestClosedFormOrder:

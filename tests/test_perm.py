@@ -7,7 +7,6 @@ from symnorm.perm import (
     Permutation,
     StabChain,
     format_group,
-    normal_closure,
     orbits_of,
     parse_group,
     parse_permutation,
@@ -268,19 +267,6 @@ class TestStabChainExtend:
     def test_degree_mismatch(self):
         with pytest.raises(ValueError):
             StabChain(4, ()).extend(P(5, (1, 2)))
-
-
-class TestNormalClosure:
-    def test_a4_in_s4(self):
-        s4 = [P(4, (1, 2)), P(4, (1, 2, 3, 4))]
-        closure = normal_closure(s4, [P(4, (1, 2, 3))], 4)
-        assert closure.order() == 12
-
-    def test_squares_generate_odd_part(self):
-        gens = [P(6, (1, 2, 3), (4, 5, 6)), P(6, (2, 3), (5, 6))]
-        grp = PermGroup.from_gens(6, gens)
-        sq = normal_closure(gens, [g * g for g in gens], 6)
-        assert sq.order() == grp.order() // 2
 
 
 class TestGroupText:
