@@ -1,22 +1,24 @@
 """Normalisers for groups whose orbit restrictions are dihedral of order 2p.
 
-Recognition works in coordinates.  On each orbit the rotations are the
-powers of one p-cycle, normalised as encode.build_instance does: it starts
-at the least point and steps to the next-smallest.  In these cycles every
-element is a pair (eps, b) of a sign pattern and a shift vector: on orbit i
-it sends the u-th point of the cycle to the (eps_i u + b_i)-th, with
-eps_i = +-1.  The rotations R = H^2 are the elements with eps = 1.  Their
-shifts form the rotation code, the least F_p subspace that holds the
-shifts of the squares of the generators and of their pairwise products and
-is closed under each generator's sign flip v -> eps o v (conjugation).
-The group splits over R (Schur-Zassenhaus), and every complement of
-involutions is the stabiliser of one point alpha_i per orbit.  alpha comes
-in closed form: it is the point fixed by the complement found by averaging
-a section through F_2 pivot generators over their 2^rank patterns, so the
-complement costs O(rank) per orbit and its rank has no limit.
+Recognition works in coordinates, through encode.recognise_orbits, which
+the cyclic class shares.  On each orbit the rotations are the powers of
+one p-cycle, normalised to start at the least point and step to the
+next-smallest.  In these cycles every element is a pair (eps, b) of a sign
+pattern and a shift vector: on orbit i it sends the u-th point of the
+cycle to the (eps_i u + b_i)-th, with eps_i = +-1.  The rotations R = H^2
+are the elements with eps = 1.  Their shifts form the rotation code, the
+least F_p subspace that holds the shifts of the squares of the generators
+and of their pairwise products and is closed under each generator's sign
+flip v -> eps o v (conjugation).  The group splits over R
+(Schur-Zassenhaus), and every complement of involutions is the stabiliser
+of one point alpha_i per orbit.  alpha comes in closed form: it is the
+point fixed by the complement found by averaging a section through F_2
+pivot generators over their 2^rank patterns, so the complement costs
+O(rank) per orbit and its rank has no limit.
 
 The normaliser is then assembled from two cyclic-class searches: one for
-the complement acting on a transversal of two-point blocks, one for the
+the complement acting on a transversal of two-point blocks, the points u
+steps either side of alpha_i on each normalised cycle, one for the
 rotation part with the orbit permutations restricted to those induced by
 the first.  Each generator of the rotation normaliser is lifted by the one
 per-orbit rotation that sends the fixed points back onto fixed points.
@@ -34,10 +36,10 @@ from symnorm.encode import (
     affine_perm,
     gamma_inv,
     instance_from_code,
-    normalised_cycle,
+    recognise_orbits,
 )
-from symnorm.gfp import InvariantViolation, PrimeField, VectorSpan, is_prime
-from symnorm.perm import PermGroup, Permutation, orbits_of, restrict_to
+from symnorm.gfp import InvariantViolation, PrimeField, VectorSpan
+from symnorm.perm import PermGroup, Permutation, restrict_to
 from symnorm.search import (
     NormalizerResult,
     SearchConfig,
@@ -51,22 +53,20 @@ from symnorm.search import (
 class DihedralInstance:
     """A recognised orbit-wise dihedral group with its split: rotations,
     an involution complement and, per orbit, the point the complement
-    fixes and a rotation cycle rooted there.  Orbits are in the order of
-    the rotation part's cyclic-class instance."""
+    fixes.  Orbits are in the order of the rotation part's cyclic-class
+    instance."""
 
-    field: PrimeField
     degree: int
     group: PermGroup
     orbits: tuple[tuple[int, ...], ...]
     rotations: PermGroup  # the odd part, orbit-wise cyclic
     complement: PermGroup  # elementary abelian complement of involutions
     alpha: tuple[int, ...]  # alpha[i] is the point of orbit i fixed by it
-    cycles: tuple[tuple[int, ...], ...]  # cycles[i][0] == alpha[i]
     rot_inst: InPInstance  # the rotations, in the same orbit order
 
     @property
     def p(self) -> int:
-        return self.field.p
+        return self.rot_inst.p
 
     @property
     def k(self) -> int:
@@ -82,54 +82,20 @@ def _compose(x, y):
     )
 
 
-def _rotation_cycle(gens, orb, p: int):
-    """The normalised p-cycle of the rotations on orb, read from a generator
-    that is a p-cycle there or else from the first generator moving orb
-    times another one (two distinct reflections); None if there is none."""
-    moving = next(x for x in gens if any(x.image(q) != q for q in orb))
-    tries = chain(gens, (moving * y for y in gens))
-    return next(filter(None, (normalised_cycle(g, orb, p) for g in tries)), None)
-
-
-def _coordinates(x: Permutation, cycles, where, p: int):
-    """The coordinates (eps, b) of x on the orbit cycles; where[i] maps a
-    point of cycles[i] to its position.  NotInClass unless x acts on every
-    orbit as u -> +-u + b."""
-    eps, shift = [], []
-    for cyc, pos in zip(cycles, where):
-        b = pos[x.image(cyc[0])]
-        e = (pos[x.image(cyc[1])] - b) % p
-        if e not in (1, p - 1) or any(
-            x.image(cyc[u]) != cyc[(e * u + b) % p] for u in range(p)
-        ):
-            raise NotInClass(
-                f"generator {x!r} acts on orbit {sorted(cyc)} neither as a "
-                "rotation nor as a reflection"
-            )
-        eps.append(1 if e == 1 else -1)
-        shift.append(b)
-    return tuple(eps), tuple(shift)
-
-
 def build_dihedral(H: PermGroup, p: int) -> DihedralInstance:
     """Recognise an orbit-wise dihedral group of order 2p per orbit and
     split it into rotations and an involution complement."""
-    if not is_prime(p) or p == 2:
-        raise NotInClass("the dihedral class needs an odd prime orbit size")
-    support = H.support()
-    if not support:
-        raise NotInClass("the trivial group has no dihedral orbits")
-    gens = H.generators
-    cycles = []
-    for orb in orbits_of(gens, support):
-        if len(orb) != p:
-            raise NotInClass(f"orbit {orb} has size {len(orb)}, expected {p}")
-        cyc = _rotation_cycle(gens, orb, p)
-        if cyc is None:
-            raise NotInClass(f"no rotation of orbit {orb}: it is not dihedral")
-        cycles.append(cyc)
-    where = [{pt: u for u, pt in enumerate(cyc)} for cyc in cycles]
-    coords = [_coordinates(x, cycles, where, p) for x in gens]
+    if p == 2:
+        raise NotInClass("the dihedral class needs an odd prime orbit size, not 2")
+    cycles, coords = recognise_orbits(H, p)
+    for x, (scale, _) in zip(H.generators, coords):
+        for a, cyc in zip(scale, cycles):
+            if a not in (1, p - 1):
+                raise NotInClass(
+                    f"generator {x!r} acts on orbit {sorted(cyc)} neither as a "
+                    "rotation nor as a reflection"
+                )
+    coords = [(tuple(1 if a == 1 else -1 for a in e), b) for e, b in coords]
     for i, cyc in enumerate(cycles):
         if all(e[i] == 1 for e, _ in coords):
             raise NotInClass(f"no reflection of orbit {sorted(cyc)}: it is cyclic")
@@ -139,9 +105,9 @@ def build_dihedral(H: PermGroup, p: int) -> DihedralInstance:
     # of odd order.  Its code is spanned by those squares' shifts and
     # closed under the generators' sign flips, which is conjugation.
     pairs = (_compose(x, y) for x, y in combinations(coords, 2))
-    squares = [_compose(x, x)[1] for x in chain(coords, pairs)]
+    todo = [_compose(x, x)[1] for x in chain(coords, pairs)]
     flips = {e for e, _ in coords}
-    span, todo = VectorSpan(p), list(squares)
+    span = VectorSpan(p)
     while todo:
         v = todo.pop()
         if span.add(v):
@@ -167,16 +133,8 @@ def build_dihedral(H: PermGroup, p: int) -> DihedralInstance:
         signs = [s * (1 + f) % p for s, f in zip(signs, e)]
     alpha = [-t * pow(2, -len(pivots), p) % p for t in total]
 
-    # the same in the orbit order of rot_inst.  The transversal blocks
-    # follow, per orbit, the cycle of the first square to move it, rooted at
-    # alpha; another step picks other blocks, so other block-search
-    # counters, though never another order.
+    # the same in the orbit order of rot_inst
     order = [cycles.index(c) for c in rot_inst.orbit_cycles]
-    steps = [next(v[j] for v in squares if v[j] % p) for j in order]
-    rooted = [
-        tuple(cycles[j][(alpha[j] + u * r) % p] for u in range(p))
-        for j, r in zip(order, steps)
-    ]
     complement = [
         affine_perm(
             rot_inst,
@@ -187,26 +145,28 @@ def build_dihedral(H: PermGroup, p: int) -> DihedralInstance:
     ]
     rotations = [gamma_inv(rot_inst, r) for r in rot_inst.matrix.rows]
     return DihedralInstance(
-        field=rot_inst.field,
         degree=H.degree,
         group=H,
         orbits=rot_inst.orbits,
         rotations=PermGroup.from_gens(H.degree, rotations),
         complement=PermGroup.from_gens(H.degree, complement),
-        alpha=tuple(c[0] for c in rooted),
-        cycles=tuple(rooted),
+        alpha=tuple(cycles[j][alpha[j]] for j in order),
         rot_inst=rot_inst,
     )
 
 
 def _transversal_blocks(inst: DihedralInstance) -> list[tuple[int, int]]:
-    """One nontrivial 2-point block of the complement per orbit, the points
-    at positions u and -u of its cycle: u is the position of the least
-    non-fixed point of the orbit holding the least point."""
+    """One nontrivial 2-point block of the complement per orbit: the points
+    u steps either side of alpha on its cycle, u the step from alpha to the
+    least other point of the orbit holding the least point."""
+    rot = inst.rot_inst
     first = min(range(inst.k), key=lambda i: inst.orbits[i][0])
-    cyc = inst.cycles[first]
-    u = cyc.index(min(cyc[1:]))
-    return [tuple(sorted((c[u], c[-u]))) for c in inst.cycles]
+    rest = [q for q in inst.orbits[first] if q != inst.alpha[first]]
+    u = rot.point_exp[rest[0]] - rot.point_exp[inst.alpha[first]]
+    return [
+        tuple(sorted(cyc[(rot.point_exp[a] + d) % inst.p] for d in (u, -u)))
+        for cyc, a in zip(rot.orbit_cycles, inst.alpha)
+    ]
 
 
 def normalizer_dihedral(

@@ -3,10 +3,11 @@
 A group H whose orbits all have prime size p, with cyclic restriction of
 order p on each, is determined by a linear code over F_p: fix a p-cycle
 g_i on each orbit, send a product of powers of the g_i to its exponent
-vector, and row-reduce the images of the generators.  This module
-recognises such groups (orbit cycles and exponent vectors), builds the
-full translation from a code on given orbit cycles (ordered orbits,
-generator matrix in standard form, dual code), and realises the
+vector, and row-reduce the images of the generators.  This module reads
+input groups, of this class and the dihedral one, as maps u -> a u + b on
+normalised orbit cycles (here every a is 1 and b is the exponent vector),
+builds the full translation from a code on given orbit cycles (ordered
+orbits, generator matrix in standard form, dual code), and realises the
 structural maps the search relies on in coordinates of the overgroup
 L = B K: every element of L sends the u-th point of orbit i's
 cycle to the (scale[i] u + shift[i])-th point of orbit pi(i)'s cycle, and
@@ -19,6 +20,7 @@ all built on these two.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 from symnorm.gfp import (
     FpMatrix,
@@ -27,6 +29,7 @@ from symnorm.gfp import (
     column_equiv_classes,
     dual_matrix,
     independent_rows,
+    is_prime,
     matrix_rank,
     rref_standard,
 )
@@ -113,68 +116,76 @@ def normalised_cycle(g: Permutation, orbit, p: int):
     """The power of g's cycle on its orbit that starts at the least point
     and steps to the next-smallest, or None if g is not a p-cycle there;
     rebuilding a group from its code on these cycles reproduces the code."""
-    base = min(orbit)
-    cyc = [base]
-    cur = g.image(base)
-    while cur != base:
-        cyc.append(cur)
-        if len(cyc) > p:
-            return None
-        cur = g.image(cur)
-    if len(cyc) != p or set(cyc) != set(orbit):
+    cyc = [min(orbit)]
+    for _ in range(p - 1):
+        cyc.append(g.image(cyc[-1]))
+    if g.image(cyc[-1]) != cyc[0] or set(cyc) != set(orbit):
         return None
     r = cyc.index(min(cyc[1:]))
     return tuple(cyc[u * r % p] for u in range(p))
 
 
-def build_instance(H: PermGroup, p: int) -> InPInstance:
-    """Recognise H and build the full translation, or raise NotInClass.
-
-    The orbits considered are those on the support of H; each must have
-    exactly p points with every generator restricting to a power of one
-    p-cycle there.  Recognition gives the orbit cycles and the exponent
-    vectors of the generators; instance_from_code builds the rest.
-    """
+def recognise_orbits(H: PermGroup, p: int):
+    """The normalised cycles of H's orbits, in order of least point, and
+    per generator its scales a and shifts b on them: it sends the u-th
+    point of each cycle to the (a u + b)-th.  A cycle comes from a generator
+    that is a p-cycle on the orbit, or else from the first generator moving
+    it times another one.  NotInClass names p, or the orbit at fault."""
+    if not is_prime(p):
+        raise NotInClass(f"orbit size {p} is not prime")
     support = H.support()
     if not support:
-        raise NotInClass("the trivial group has no orbits of size p")
-    orbits = [tuple(o) for o in orbits_of(H.generators, support)]
-    for orb in orbits:
+        raise NotInClass(f"the trivial group has no orbits of size {p}")
+    gens = H.generators
+    cycles = []
+    for orb in orbits_of(gens, support):
         if len(orb) != p:
-            raise NotInClass(f"orbit {list(orb)} has size {len(orb)}, expected {p}")
-
-    cycles: list[tuple[int, ...]] = []
-    for orb in orbits:
-        # orbits of the support: some generator moves every one
-        g = next(x for x in H.generators if any(x.image(q) != q for q in orb))
-        cyc = normalised_cycle(g, orb, p)
+            raise NotInClass(f"orbit {orb} has size {len(orb)}, expected {p}")
+        moving = next(x for x in gens if any(x.image(q) != q for q in orb))
+        tries = chain(gens, (moving * y for y in gens))
+        cyc = next(filter(None, (normalised_cycle(g, orb, p) for g in tries)), None)
         if cyc is None:
-            raise NotInClass(f"restriction to orbit {list(orb)} is not a p-cycle")
+            raise NotInClass(
+                f"no generator or product of two is a p-cycle on orbit {orb}"
+            )
         cycles.append(cyc)
 
-    # exponent vectors of the generators; also verifies cyclic restrictions
-    pos = [{pt: u for u, pt in enumerate(cyc)} for cyc in cycles]
-    vectors = []
-    for x in H.generators:
-        vec = []
-        for orb, cyc, where in zip(orbits, cycles, pos):
-            r = where.get(x.image(cyc[0]))
-            if r is None:
-                raise NotInClass(f"generator {x!r} does not preserve orbit {list(orb)}")
-            if any(x.image(cyc[u]) != cyc[(u + r) % p] for u in range(p)):
+    pos = {pt: u for cyc in cycles for u, pt in enumerate(cyc)}
+    coords = []
+    for x in gens:
+        pairs = []
+        for cyc in cycles:
+            b = pos[x.image(cyc[0])]
+            a = (pos[x.image(cyc[1])] - b) % p
+            if any(x.image(pt) != cyc[(a * u + b) % p] for u, pt in enumerate(cyc)):
                 raise NotInClass(
-                    f"restriction of {x!r} to orbit {list(orb)} is not a power "
-                    "of the orbit cycle"
+                    f"generator {x!r} acts on orbit {sorted(cyc)} as no map "
+                    "u -> a u + b of positions on its cycle"
                 )
-            vec.append(r)
-        vectors.append(vec)
-    return instance_from_code(PrimeField(p), H.degree, cycles, vectors)
+            pairs.append((a, b))
+        coords.append(tuple(zip(*pairs)))
+    return cycles, coords
+
+
+def build_instance(H: PermGroup, p: int) -> InPInstance:
+    """Recognise H as orbit-wise cyclic and build the full translation, or
+    raise NotInClass: every generator must act on every orbit as a power
+    of its cycle, and instance_from_code builds the rest from the shifts."""
+    cycles, coords = recognise_orbits(H, p)
+    for x, (scale, _) in zip(H.generators, coords):
+        for a, cyc in zip(scale, cycles):
+            if a != 1:
+                raise NotInClass(
+                    f"restriction of {x!r} to orbit {sorted(cyc)} is not a "
+                    "power of the orbit cycle"
+                )
+    return instance_from_code(PrimeField(p), H.degree, cycles, [b for _, b in coords])
 
 
 def instance_from_code(field: PrimeField, degree: int, cycles, rows) -> InPInstance:
     """The instance of the code spanned by rows, whose j-th entry is the
     exponent of cycles[j]; each cycle starts at its least point and steps
-    to its next-smallest one, as build_instance normalises them.
+    to its next-smallest one, as recognise_orbits normalises them.
 
     Orbits are sorted by least point, the code is row reduced and the
     orbits relabelled so its pivot columns come first; the orbit
@@ -193,12 +204,8 @@ def instance_from_code(field: PrimeField, degree: int, cycles, rows) -> InPInsta
     if not mstd.is_standard():
         raise InvariantViolation("pivot-first relabelling must give standard form")
 
-    point_orbit = {}
-    point_exp = {}
-    for i, cyc in enumerate(cycles):
-        for u, pt in enumerate(cyc):
-            point_orbit[pt] = i
-            point_exp[pt] = u
+    point_orbit = {pt: i for i, cyc in enumerate(cycles) for pt in cyc}
+    point_exp = {pt: u for cyc in cycles for u, pt in enumerate(cyc)}
 
     return InPInstance(
         field=field,
@@ -410,18 +417,15 @@ class ReduceResult:
         inst = self.instance
         imgs = list(range(1, inst.degree + 1))
         for ci, cell in enumerate(classes):
-            rep = cell[0]
-            target_set = tuple(sorted(u.image(q) for q in inst.orbits[rep - 1]))
+            target_set = tuple(sorted(u.image(q) for q in inst.orbits[cell[0] - 1]))
             cj = rep_sets.get(target_set)
             if cj is None:
                 raise ValueError("element does not permute the representative orbits")
             if len(classes[cj]) != len(cell):
                 raise ValueError("element mixes classes of different sizes")
-            for s in range(len(cell)):
-                src_swap = swaps[ci][s]
-                dst_swap = swaps[cj][s]
-                for pt in inst.orbits[cell[s] - 1]:
-                    imgs[pt - 1] = dst_swap.image(u.image(src_swap.image(pt)))
+            for src, dst, j in zip(swaps[ci], swaps[cj], cell):
+                for pt in inst.orbits[j - 1]:
+                    imgs[pt - 1] = dst.image(u.image(src.image(pt)))
         return Permutation(imgs)
 
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import re
 from types import SimpleNamespace
 
 import pytest
@@ -241,6 +242,76 @@ class TestBuildDihedral:
         grp = PermGroup.from_gens(2, [P(2, (1, 2))])
         with pytest.raises(NotInClass):
             build_dihedral(grp, 2)
+
+
+# one group per rejection path of the dihedral class that
+# test_rejects_other_orbit_groups does not take (a generator that is not
+# affine, a scale other than +-1, an orbit without a reflection), and the
+# text the error must hold: the orbit, or p
+DIHEDRAL_REJECTIONS = [
+    ("size", 3, 4, [((1, 2, 3, 4),), ((2, 4),)], r"orbit \[1, 2, 3, 4\] has size 4"),
+    ("no-p-cycle", 5, 5, [((1, 2, 3),), ((3, 4),), ((4, 5),)],
+     r"p-cycle on orbit \[1, 2, 3, 4, 5\]"),
+    ("not-prime", 9, 9, [(tuple(range(1, 10)),), ((2, 9), (3, 8), (4, 7), (5, 6))],
+     r"orbit size 9 is not prime"),
+    ("even", 2, 2, [((1, 2),)], r"odd prime orbit size, not 2"),
+    ("trivial", 3, 3, [], r"no orbits of size 3"),
+]
+
+
+class TestRecognition:
+    def test_generating_set_does_not_matter(self):
+        # the rotation code and its cycles do not depend on the generating
+        # set; alpha follows the order of the generators, so it is checked
+        # against repeats appended at the end
+        rng = random.Random(13)
+        for p, k, dim in [(3, 6, 2), (5, 5, 3), (7, 8, 3), (7, 37, 3)]:
+            for seed in range(3):
+                base, _ = gen_instance(p, k, dim, seed, dihedral=True)
+                for grp in (base, word_generated(rng, base.degree, base.generators)):
+                    inst = build_dihedral(grp, p)
+                    gens = list(grp.generators)
+                    repeated = gens + [rng.choice(gens) for _ in range(3)]
+                    again = build_dihedral(PermGroup(grp.degree, tuple(repeated)), p)
+                    assert again.alpha == inst.alpha
+                    gens += [rng.choice(gens) * rng.choice(gens) for _ in range(2)]
+                    gens += [rng.choice(gens) for _ in range(2)]
+                    rng.shuffle(gens)
+                    other = build_dihedral(PermGroup(grp.degree, tuple(gens)), p)
+                    assert other.rot_inst.orbit_cycles == inst.rot_inst.orbit_cycles
+                    assert other.rot_inst.matrix == inst.rot_inst.matrix
+
+    def test_blocks_rooted_at_alpha(self):
+        # block i is the pair u steps either side of alpha_i on orbit i's
+        # cycle, one u for all orbits, and the complement maps it to itself
+        rng = random.Random(17)
+        for p, k, dim in [(3, 6, 2), (5, 5, 3), (7, 8, 3)]:
+            base, _ = gen_instance(p, k, dim, 1, dihedral=True)
+            inst = build_dihedral(word_generated(rng, base.degree, base.generators), p)
+            rot = inst.rot_inst
+            blocks = dihedral_module._transversal_blocks(inst)
+            steps = set()
+            for cyc, a, blk in zip(rot.orbit_cycles, inst.alpha, blocks):
+                e = cyc.index(a)
+                u = (cyc.index(blk[0]) - e) % p
+                assert u and sorted([cyc[(e + u) % p], cyc[(e - u) % p]]) == list(blk)
+                steps.add(min(u, p - u))
+                for g in inst.complement.generators:
+                    assert sorted(g.image(q) for q in blk) == list(blk)
+            assert len(steps) == 1
+
+    @pytest.mark.parametrize(
+        "p, degree, gens, match", [c[1:] for c in DIHEDRAL_REJECTIONS],
+        ids=[c[0] for c in DIHEDRAL_REJECTIONS],
+    )
+    def test_rejections_name_orbit_or_p(self, p, degree, gens, match, tmp_path, capsys):
+        grp = PermGroup.from_gens(degree, [P(degree, *c) for c in gens])
+        with pytest.raises(NotInClass, match=match):
+            build_dihedral(grp, p)
+        path = tmp_path / "grp.txt"
+        path.write_text(format_group(p, degree, grp.generators))
+        assert main(["compute", "--in", str(path), "--method", "dihedral"]) == 2
+        assert re.search(match, capsys.readouterr().err)
 
 
 class TestNormalizerDihedral:

@@ -1,6 +1,9 @@
 import dataclasses
+import functools
 import itertools
+import operator
 import random
+import re
 
 import pytest
 
@@ -19,13 +22,14 @@ from symnorm.encode import (
     gamma_inv,
     gamma_map,
     instance_from_code,
+    recognise_orbits,
     reduce_equivalent_orbits,
     xi_image,
 )
-from symnorm.cli import gen_instance
+from symnorm.cli import gen_instance, main
 from symnorm.gfp import FpMatrix
-from symnorm.perm import PermGroup, Permutation, restrict_to
-from symnorm.search import norm_b
+from symnorm.perm import PermGroup, Permutation, format_group, restrict_to
+from symnorm.search import norm_b, normalizer_in_sym
 
 
 def P(n, *cycles):
@@ -135,6 +139,75 @@ class TestBuildInstance:
                 kap = affine_perm(inst, pi)
                 for i in range(inst.k):
                     assert inst.orbit_gens[i].conj(kap) == inst.orbit_gens[imgs[i] - 1]
+
+
+def relisted(rng, grp):
+    """grp on its generators shuffled, with repeats and products of two
+    added; built directly, since from_gens would drop the repeats."""
+    gens = list(grp.generators)
+    gens += [rng.choice(gens) for _ in range(2)]
+    gens += [rng.choice(gens) * rng.choice(gens) for _ in range(2)]
+    rng.shuffle(gens)
+    return PermGroup(grp.degree, tuple(gens))
+
+
+# one group per rejection path of the cyclic class, and the text the error
+# must hold: the orbit, or p
+CYCLIC_REJECTIONS = [
+    ("size", 2, 3, [((1, 2, 3),)], r"orbit \[1, 2, 3\] has size 3"),
+    ("no-p-cycle", 5, 5, [((1, 2, 3),), ((3, 4),), ((4, 5),)],
+     r"p-cycle on orbit \[1, 2, 3, 4, 5\]"),
+    ("not-affine", 5, 5, [((1, 2, 3, 4, 5),), ((1, 2),)],
+     r"Permutation\[\(1 2\)\] acts on orbit \[1, 2, 3, 4, 5\]"),
+    ("scale", 3, 6, [((1, 2, 3), (4, 5, 6)), ((5, 6),)], r"orbit \[4, 5, 6\]"),
+    ("not-prime", 4, 8, [((1, 2, 3, 4), (5, 6, 7, 8)), ((1, 3), (5, 7))],
+     r"orbit size 4 is not prime"),
+    ("trivial", 3, 3, [], r"no orbits of size 3"),
+]
+
+
+class TestRecognition:
+    # gen_instance cells: bytes and tuple backing, with repeated columns
+    CELLS = [(2, 8, 3), (3, 10, 4), (5, 8, 2), (7, 9, 5), (7, 37, 3)]
+
+    def test_generating_set_does_not_matter(self):
+        rng = random.Random(43)
+        for p, k, dim in self.CELLS:
+            for seed in range(3):
+                grp = conjugated(gen_instance(p, k, dim, seed)[0], rng)
+                inst = build_instance(grp, p)
+                cycles, _ = recognise_orbits(grp, p)
+                for _ in range(3):
+                    other = relisted(rng, grp)
+                    assert recognise_orbits(other, p)[0] == cycles
+                    again = build_instance(other, p)
+                    assert again.orbit_cycles == inst.orbit_cycles
+                    assert again.matrix == inst.matrix
+
+    def test_coordinates(self):
+        # every generator is u -> u + b on every cycle, b its exponent vector
+        rng = random.Random(47)
+        grp = conjugated(gen_instance(5, 6, 3, 1)[0], rng)
+        inst = build_instance(grp, 5)
+        cycles, coords = recognise_orbits(grp, 5)
+        assert sorted(cycles) == sorted(inst.orbit_cycles)
+        for x, (scale, shift) in zip(grp.generators, coords):
+            assert scale == (1,) * inst.k
+            for cyc, b in zip(cycles, shift):
+                assert [x.image(q) for q in cyc] == [cyc[(u + b) % 5] for u in range(5)]
+
+    @pytest.mark.parametrize(
+        "p, degree, gens, match", [c[1:] for c in CYCLIC_REJECTIONS],
+        ids=[c[0] for c in CYCLIC_REJECTIONS],
+    )
+    def test_rejections_name_orbit_or_p(self, p, degree, gens, match, tmp_path, capsys):
+        grp = PermGroup.from_gens(degree, [P(degree, *c) for c in gens])
+        with pytest.raises(NotInClass, match=match):
+            build_instance(grp, p)
+        path = tmp_path / "grp.txt"
+        path.write_text(format_group(p, degree, grp.generators))
+        assert main(["compute", "--in", str(path), "--method", "full"]) == 2
+        assert re.search(match, capsys.readouterr().err)
 
 
 class TestGamma:
@@ -399,6 +472,76 @@ class TestReduce:
         img = red.theta(sigma)
         for x in grp.generators:
             assert grp.contains(x.conj(img))
+
+
+def repeated_columns_group(rng, p, copies):
+    """The block group of a code of dimension 2 with len(copies) distinct
+    points of the projective line as columns, point j repeated copies[j]
+    times, every copy scaled at random, the columns in random order and all
+    points relabelled at random.  PGL(2, p) is 3-transitive on the line, so
+    the normaliser moves the class representatives."""
+    line = [(1, a) for a in range(p)] + [(0, 1)]
+    points = rng.sample(line, len(copies))
+    cols = [pt for pt, m in zip(points, copies) for _ in range(m)]
+    rng.shuffle(cols)
+    scales = rng.choices(range(1, p), k=len(cols))
+    rows = [[x * a % p for x, a in zip(row, scales)] for row in zip(*cols)]
+    return conjugated(code_to_group(M(p, rows)), rng)
+
+
+class TestThetaOracle:
+    """ReduceResult.theta against its defining properties, on elements of
+    the normaliser of the group on the class representatives."""
+
+    @pytest.mark.parametrize(
+        "p, copies",
+        [(2, (2, 2, 1)), (3, (2, 2, 1, 1)), (5, (2, 2, 2, 1)), (7, (3, 3, 1))],
+    )
+    def test_properties(self, p, copies):
+        rng = random.Random(p)
+        moved = rejected = 0
+        for _ in range(3):
+            grp = repeated_columns_group(rng, p, copies)
+            red = reduce_equivalent_orbits(grp, p)
+            reduced = red.reduced
+            rep_group = PermGroup.from_gens(
+                grp.degree, [gamma_inv(reduced, r) for r in reduced.matrix.rows]
+            )
+            gens = list(normalizer_in_sym(rep_group, p).generators)
+            words = gens + [
+                functools.reduce(operator.mul, rng.choices(gens, k=rng.randrange(2, 5)))
+                for _ in range(20)
+            ]
+            chain = grp.chain()
+            rep_points = [q for orb in reduced.orbits for q in orb]
+            cycles = reduced.orbit_cycles
+            kept = []
+            for u in words:
+                images = [reduced.point_orbit[u.image(c[0])] for c in cycles]
+                if [red.class_sizes[j] for j in images] != list(red.class_sizes):
+                    with pytest.raises(ValueError, match="different sizes"):
+                        red.theta(u)
+                    rejected += 1
+                    continue
+                kept.append(u)
+                moved += images != sorted(images)
+                img = red.theta(u)
+                assert all(img.image(q) == u.image(q) for q in rep_points)
+                assert all(chain.contains(x.conj(img)) for x in grp.generators)
+            for u, v in zip(kept, kept[1:] + kept[:1]):
+                assert red.theta(u * v) == red.theta(u) * red.theta(v)
+        assert moved and rejected
+
+    def test_rejects_mixed_class_sizes(self):
+        # columns (1, 0), (0, 1), (0, 2): classes of sizes 1 and 2, whose
+        # representatives the identity code on them lets change places
+        rng = random.Random(53)
+        grp = conjugated(code_to_group(M(3, [[1, 0, 0], [0, 1, 2]])), rng)
+        red = reduce_equivalent_orbits(grp, 3)
+        assert sorted(red.class_sizes) == [1, 2]
+        swap = affine_perm(red.reduced, Permutation([2, 1]))
+        with pytest.raises(ValueError, match="different sizes"):
+            red.theta(swap)
 
 
 def assert_same_instance(a, b):
