@@ -444,6 +444,79 @@ def weight_enumerator(mstd: FpMatrix, budget: int = 1 << 17) -> WeightEnumerator
     return WeightEnumerator(tuple(int(x) * (p - 1) for x in hist[1 : k + 1]))
 
 
+def scalings_matching_columns(p: int, cols, targets, tick):
+    """The scalings v of F_p^s with v[0] = 1 under which every column of
+    cols, multiplied entrywise by v, is a nonzero multiple of a column of
+    targets; in lexicographic order of v.
+
+    cols (s x f) and targets (s x n) are lists of rows of canonical
+    residues, and the target columns are nonzero and pairwise inequivalent
+    under scaling, so each column matches at most one.  Yields (v, match,
+    scale) per such v: column j of cols times v is scale[j] times target
+    column match[j] (0-based).
+
+    v has no zero entry, so v o c has the zero pattern of c and its leading
+    entry in c's leading row r0.  Scaled by 1 / (v[r0] c[r0]), so that this
+    entry is 1, it is compared entry by entry on c's other nonzero rows with
+    the normalised targets of c's zero pattern only.  The (p-1)^(s-1)
+    scalings are built from their indices, with their entrywise inverses,
+    in steps of _WORD_CHUNK in the smallest dtype that holds (p-1)^2, and
+    filtered one column at a time; tick(count) is called before each step.
+    """
+    s = len(cols)
+    total = (p - 1) ** (s - 1)
+    dtype = np.min_scalar_type((p - 1) ** 2)  # holds a product before its reduction
+    inv = [0] + [pow(x, p - 2, p) for x in range(1, p)]
+    t_cols = list(zip(*targets))
+    t_lead_inv = [inv[next(x for x in col if x)] for col in t_cols]
+    t_norm = np.array(
+        [[x * li % p for x in col] for col, li in zip(t_cols, t_lead_inv)], dtype=dtype
+    ).T
+    patterns = [tuple(x != 0 for x in col) for col in t_cols]
+    # per column: the targets of its zero pattern, its leading row and
+    # entry, and its other nonzero rows with their entries over the leading one
+    plan = []
+    for c in zip(*cols):
+        pattern = tuple(x != 0 for x in c)
+        cand = [t for t, pat in enumerate(patterns) if pat == pattern]
+        if not cand:  # a zero pattern no target has: nothing matches
+            tick(total)
+            return
+        rows = [r for r in range(s) if c[r]]
+        lead = c[rows[0]]
+        others = [(r, c[r] * inv[lead] % p) for r in rows[1:]]
+        plan.append((np.array(cand), rows[0], lead, others))
+    inv, t_lead_inv = np.array(inv, dtype=dtype), np.array(t_lead_inv, dtype=dtype)
+
+    for start in range(0, total, _WORD_CHUNK):
+        stop = min(total, start + _WORD_CHUNK)
+        tick(stop - start)
+        v = np.ones((stop - start, s), dtype=dtype)
+        v_inv = np.ones((stop - start, s), dtype=dtype)
+        idx = np.arange(start, stop)
+        for r in range(s - 1, 0, -1):  # the last coordinate varies fastest
+            idx, digit = np.divmod(idx, p - 1)
+            v[:, r] += digit.astype(dtype)
+            v_inv[:, r] = inv[digit + 1]
+        picks = []  # per column so far: matched target and scale of each row left
+        for cand, r0, lead, rows in plan:
+            w = v_inv[:, r0]
+            hit = np.ones((len(v), len(cand)), dtype=bool)
+            for r, x in rows:
+                hit &= (v[:, r] * x % p * w % p)[:, None] == t_norm[r, cand]
+            keep = hit.any(axis=1)
+            v, v_inv, hit = v[keep], v_inv[keep], hit[keep]
+            picks = [(m[keep], sc[keep]) for m, sc in picks]
+            if not len(v):
+                break
+            m = cand[np.nonzero(hit)[1]]  # one hit per row: the targets differ
+            picks.append((m, v[:, r0] * lead % p * t_lead_inv[m] % p))
+        else:
+            picks = [(m.tolist(), sc.tolist()) for m, sc in picks]
+            for i, row in enumerate(v.tolist()):
+                yield tuple(row), [m[i] for m, _ in picks], [sc[i] for _, sc in picks]
+
+
 # ---------------------------------------------------------------------------
 # the column ordering used for canonical representatives
 

@@ -177,18 +177,19 @@ class Permutation:
     # structure --------------------------------------------------------
 
     def cycles(self, include_fixed: bool = False) -> list[tuple[int, ...]]:
+        images = self.images
         seen = set()
         out = []
-        for i in range(1, self.degree + 1):
+        for i in range(1, self._n + 1):
             if i in seen:
                 continue
             cyc = [i]
-            j = self.images[i - 1]
+            j = images[i - 1]
             seen.add(i)
             while j != i:
                 seen.add(j)
                 cyc.append(j)
-                j = self.images[j - 1]
+                j = images[j - 1]
             if len(cyc) > 1 or include_fixed:
                 out.append(tuple(cyc))
         return out

@@ -16,7 +16,6 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass
-from itertools import product
 from math import factorial, prod
 
 from symnorm.canon import CanonResult, canonical_rep, kappa_feasible, support_partitions
@@ -42,6 +41,7 @@ from symnorm.gfp import (
     member_row_space,
     min_weight_vectors,
     normalized_column,
+    scalings_matching_columns,
     weight_enumerator,
 )
 from symnorm.perm import PermGroup, Permutation, StabChain, orbit_of
@@ -365,14 +365,13 @@ class _Search:
             time.monotonic() + cfg.time_limit if cfg.time_limit is not None else None
         )
         self.codes: list[_Code] = []
-        self.col_lookup: dict[tuple[int, ...], int] = {}
-        self.col_lead_inv: dict[int, int] = {}
+        self.targets: list[tuple[int, ...]] = []  # rows of the non-pivot columns
         self.own_rep: CanonResult | None = None
 
     # -- helpers -------------------------------------------------------
 
-    def _tick(self):
-        self.stats["nodes"] += 1
+    def _tick(self, count: int = 1):
+        self.stats["nodes"] += count
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise SearchTimeout(f"search exceeded {self.cfg.time_limit}s")
 
@@ -415,16 +414,14 @@ class _Search:
             )
 
         if self.method == "limitdepth":
-            # the non-pivot columns by normalised form, with the inverse of
-            # their leading entry, for matching scaled image columns
-            for t in range(self.s + 1, self.k + 1):
-                col = inst.matrix.col(t)
-                key = normalized_column(col, self.p)
-                if key in self.col_lookup:
-                    raise NotInClass("orbits must be pairwise inequivalent")
-                self.col_lookup[key] = t
-                lead = next(x for x in col if x)
-                self.col_lead_inv[t] = pow(lead, self.p - 2, self.p)
+            # the non-pivot columns, which scaled image columns must match
+            keys = {
+                normalized_column(inst.matrix.col(t), self.p)
+                for t in range(s + 1, k + 1)
+            }
+            if len(keys) < k - s:
+                raise NotInClass("orbits must be pairwise inequivalent")
+            self.targets = [row[s:] for row in inst.matrix.rows]
 
         self._recurse((), doms, tuple(code.stabs[0] for code in self.codes))
 
@@ -514,9 +511,11 @@ class _Search:
     # -- the depth-limited variant ---------------------------------------
 
     def _limit_depth_node(self, alpha, doms):
-        """Enumerate the scalings of the assigned pivot images; each one
+        """Try the scalings of the assigned pivot images; each one
         determines the whole code image, which either matches the remaining
-        columns bijectively (up to scalars) or dies.
+        columns bijectively (up to scalars) or dies.  The scalings are
+        tested in numpy steps (gfp.scalings_matching_columns), and each
+        survivor is checked and added here, one node per scaling tried.
 
         Scalings v and c.v give the same orbit permutation, and only the
         first v found for each one is kept.  That v is the least of its
@@ -536,29 +535,18 @@ class _Search:
             self.stats["depth_singular"] += 1
             return
         base = mat_mul(ainv, inst.matrix)  # the image code rows, up to row scalings
-        col_lookup, col_lead_inv = self.col_lookup, self.col_lead_inv
-        free_positions = [j for j in range(1, k + 1) if j not in set(alpha)]
-        base_cols = {j: base.col(j) for j in free_positions}
+        assigned = set(alpha)
+        free_positions = [j for j in range(1, k + 1) if j not in assigned]
+        cols = [[row[j - 1] for j in free_positions] for row in base.rows]
 
         seen_kappas = set()
-        for rest in product(range(1, p), repeat=s - 1):
-            v = (1,) + rest
-            self._tick()
+        matches = scalings_matching_columns(p, cols, self.targets, self._tick)
+        for v, match, scale in matches:
             images = list(alpha) + [0] * (k - s)
             diag = list(v) + [0] * (k - s)
-            ok = True
-            for j in free_positions:
-                col = tuple(v[r] * base_cols[j][r] % p for r in range(s))
-                key = normalized_column(col, p)
-                t = col_lookup.get(key)
-                if t is None:
-                    ok = False
-                    break
-                lead = next(x for x in col if x)
-                images[t - 1] = j
-                diag[t - 1] = lead * col_lead_inv[t] % p
-            if not ok:
-                continue
+            for j, t, c in zip(free_positions, match, scale):
+                images[s + t] = j
+                diag[s + t] = c
             kappa_imgs = tuple(images)
             if 0 in kappa_imgs or kappa_imgs in seen_kappas:
                 continue
@@ -606,9 +594,13 @@ def limit_depth_search(
 
 def verify_normalises(H: PermGroup, gens) -> None:
     """Raise InvariantViolation unless every g in gens conjugates each
-    generator of H into H (membership through H's chain)."""
+    generator of H into H (membership through H's chain).  Generators of
+    H itself are skipped: they lie in H, so they normalise it."""
     chain = H.chain()
+    own = set(H.generators)
     for g in gens:
+        if g in own:
+            continue
         for x in H.generators:
             if not chain.contains(x.conj(g)):
                 raise InvariantViolation("result generator fails to normalise the input")

@@ -1,6 +1,7 @@
 import itertools
 import random
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -18,6 +19,7 @@ from symnorm.encode import (
     reduce_equivalent_orbits,
 )
 from symnorm.gfp import (
+    _WORD_CHUNK,
     FpMatrix,
     InvariantViolation,
     column_equiv_classes,
@@ -26,6 +28,8 @@ from symnorm.gfp import (
     matrix_rank,
     member_row_space,
     min_weight_vectors,
+    normalized_column,
+    scalings_matching_columns,
     weight_enumerator,
 )
 from symnorm.oracle import brute_maut, brute_normalizer
@@ -34,6 +38,7 @@ from symnorm.search import (
     FoundGroup,
     _class_sizes,
     SearchConfig,
+    SearchTimeout,
     all_diff_refiner,
     build_ld_sets,
     check_lds,
@@ -44,6 +49,7 @@ from symnorm.search import (
     limit_depth_search,
     norm_b,
     normalizer_in_sym,
+    verify_normalises,
 )
 
 
@@ -72,8 +78,6 @@ def random_code(rng, p, k, dim, distinct_cols=False):
         if any(not any(c) for c in cols):
             continue
         if distinct_cols:
-            from symnorm.gfp import normalized_column
-
             norm = {normalized_column(c, p) for c in cols}
             if len(norm) != k:
                 continue
@@ -449,6 +453,170 @@ class TestLimitDepth:
                 assert ld.order == full.order, (k, dim, seed)
 
 
+def reference_scalings(p, cols, targets):
+    """The depth-limited node's scaling loop, one scaling at a time, as it
+    ran in Python: image columns matched by a dict of normalised targets."""
+    s, f, n = len(cols), len(cols[0]), len(targets[0])
+    lookup, lead_inv = {}, {}
+    for t in range(n):
+        col = tuple(row[t] for row in targets)
+        lookup[normalized_column(col, p)] = t
+        lead_inv[t] = pow(next(x for x in col if x), p - 2, p)
+    out = []
+    for rest in itertools.product(range(1, p), repeat=s - 1):
+        v = (1,) + rest
+        match, scale = [], []
+        for j in range(f):
+            col = tuple(v[r] * cols[r][j] % p for r in range(s))
+            t = lookup.get(normalized_column(col, p))
+            if t is None:
+                break
+            match.append(t)
+            scale.append(next(x for x in col if x) * lead_inv[t] % p)
+        else:
+            out.append((v, match, scale))
+    return out
+
+
+def random_match_problem(rng, p, s, n, f, zero_prob, noise=0.25):
+    """n pairwise inequivalent nonzero target columns of length s, and f
+    columns, each a scaled target divided entrywise by one hidden scaling
+    (so that scaling matches them all), or with probability noise a random
+    nonzero column."""
+    keys, targets = set(), []
+    while len(targets) < n:
+        col = [rng.randrange(1, p) if rng.random() >= zero_prob else 0 for _ in range(s)]
+        key = normalized_column(col, p)
+        if any(col) and key not in keys:
+            keys.add(key)
+            targets.append(col)
+    hidden = [rng.randrange(1, p) for _ in range(s)]
+    cols = []
+    for _ in range(f):
+        if rng.random() < noise:
+            col = [rng.randrange(p) for _ in range(s)]
+            col[rng.randrange(s)] = rng.randrange(1, p)
+        else:
+            c, tcol = rng.randrange(1, p), rng.choice(targets)
+            col = [c * x * pow(h, p - 2, p) % p for x, h in zip(tcol, hidden)]
+        cols.append(col)
+    # both as lists of rows
+    return [list(r) for r in zip(*cols)], [list(r) for r in zip(*targets)]
+
+
+def run_kernel(p, cols, targets):
+    ticks = []
+    out = list(scalings_matching_columns(p, cols, targets, ticks.append))
+    return out, ticks
+
+
+class TestScalingKernel:
+    """gfp.scalings_matching_columns, which tests the depth-limited node's
+    scalings in numpy, against the Python loop it replaced."""
+
+    @pytest.mark.parametrize(
+        "p,s_max", [(2, 8), (3, 8), (5, 6), (7, 5), (11, 4), (13, 4)]
+    )
+    def test_matches_reference(self, p, s_max):
+        rng = random.Random(p)
+        matched = 0  # problems with a surviving scaling
+        for _ in range(25):
+            s = rng.randrange(1 if p > 2 else 2, s_max + 1)
+            zero_prob = rng.choice([0.0, 0.3, 0.6])
+            # the classes of columns without zeros number (p-1)^(s-1)
+            classes = (p**s - 1) // (p - 1) if zero_prob else (p - 1) ** (s - 1)
+            n = min(rng.randrange(1, 7), classes)
+            cols, targets = random_match_problem(
+                rng, p, s, n, rng.randrange(1, 5), zero_prob
+            )
+            out, ticks = run_kernel(p, cols, targets)
+            assert out == reference_scalings(p, cols, targets), (cols, targets)
+            assert sum(ticks) == (p - 1) ** (s - 1)
+            matched += bool(out)
+        assert 5 <= matched <= 20
+
+    def test_more_scalings_than_one_chunk(self):
+        # p = 11, s = 6: 10^5 scalings in 13 steps; the columns below fix
+        # v[3] / v[2], v[4] and v[5], so 100 of them survive
+        p = 11
+        tcols = [(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 1, 2, 0, 0),
+                 (1, 0, 0, 0, 3, 4), (0, 0, 0, 0, 0, 5)]
+        hidden = (1, 4, 2, 9, 3, 5)
+        cols = [
+            [c * x * pow(h, p - 2, p) % p for x, h in zip(tcols[t], hidden)]
+            for t, c in ((1, 7), (2, 3), (3, 5))
+        ]
+        cols, targets = [list(r) for r in zip(*cols)], [list(r) for r in zip(*tcols)]
+        out, ticks = run_kernel(p, cols, targets)
+        assert ticks == [_WORD_CHUNK] * 12 + [10**5 - 12 * _WORD_CHUNK]
+        assert len(out) == 100
+        assert out == reference_scalings(p, cols, targets)
+        index = [int("".join(str(x - 1) for x in v[1:]), p - 1) for v, _, _ in out]
+        assert len({i // _WORD_CHUNK for i in index}) == 13  # survivors in every step
+
+    def test_p2_long_columns(self):
+        # p = 2, s = 70: the targets differ only below row 64, where a
+        # column packed into a base-p integer would overflow int64
+        s = 70
+        tails = [
+            (1, 0, 0, 0, 0, 1), (0, 1, 0, 0, 1, 0), (1, 1, 0, 1, 0, 0), (0, 0, 1, 0, 0, 0)
+        ]
+        targets = [list(r) for r in zip(*[(1,) * 64 + t for t in tails])]
+        order = [2, 0, 3, 1]
+        cols = [[row[t] for t in order] for row in targets]
+        out, ticks = run_kernel(2, cols, targets)
+        assert out == [((1,) * s, order, [1] * 4)] == reference_scalings(2, cols, targets)
+        assert ticks == [1]
+        cols[-1][0] ^= 1  # now a column no target has
+        assert run_kernel(2, cols, targets)[0] == []
+
+    def test_time_limit_zero_raises(self):
+        grp, _ = gen_instance(11, 7, 6, 0)
+        with pytest.raises(SearchTimeout):
+            limit_depth_search(build_instance(grp, 11), SearchConfig(time_limit=0))
+        with pytest.raises(SearchTimeout):
+            normalizer_in_sym(grp, 11, "limitdepth", SearchConfig(time_limit=0))
+
+    def test_deadline_stops_node_between_steps(self, monkeypatch):
+        # a fake monotonic clock that advances one second per reading; the
+        # search ticks once per node above the depth limit and once per step
+        # of scalings within it
+        clock = SimpleNamespace(now=0.0, reads=[])
+
+        def monotonic():
+            clock.now += 1.0
+            clock.reads.append(clock.now)
+            return clock.now
+
+        fake_time = SimpleNamespace(monotonic=monotonic)
+        monkeypatch.setattr(search_module, "time", fake_time)
+        ticks = []
+        real_tick = search_module._Search._tick
+
+        def recording_tick(self, count=1):
+            ticks.append((count, clock.now + 1.0))  # the reading this tick makes
+            real_tick(self, count)
+
+        monkeypatch.setattr(search_module._Search, "_tick", recording_tick)
+        inst = build_instance(gen_instance(11, 7, 6, 0)[0], 11)  # one node of 10^5
+        res = limit_depth_search(inst, SearchConfig(time_limit=1e9))
+        assert res.stats["depth_nodes"] == 1
+        steps = [i for i, (count, _) in enumerate(ticks) if count > 1]
+        assert len(steps) == 13
+        full_ticks, start = list(ticks), clock.reads[0]  # the deadline's base
+
+        # the same search again, with the deadline just before the reading
+        # of the node's third step: two steps run, the third is never built
+        third = steps[2]
+        clock.now, clock.reads = 0.0, []
+        ticks.clear()
+        limit = full_ticks[third][1] - start - 0.5
+        with pytest.raises(SearchTimeout):
+            limit_depth_search(inst, SearchConfig(time_limit=limit))
+        assert ticks == full_ticks[: third + 1]
+        assert ticks[-1][0] == _WORD_CHUNK
+
+
 class TestPruningSafety:
     def test_toggles_do_not_change_result(self):
         rng = random.Random(29)
@@ -647,6 +815,25 @@ class TestVerification:
         monkeypatch.setattr(search_module, "kappa_feasible", bad_feasible)
         with pytest.raises(InvariantViolation):
             normalizer_in_sym(grp, 5)
+
+    def test_verify_skips_own_generators(self, monkeypatch):
+        # generators of H lie in H, so verify_normalises sifts nothing for
+        # them; any other generator is still sifted, and a wrong one raises
+        H = e1_group()
+        sifts = []
+        real = StabChain.contains
+
+        def counting(chain, g):
+            sifts.append(g)
+            return real(chain, g)
+
+        monkeypatch.setattr(StabChain, "contains", counting)
+        verify_normalises(H, H.generators)
+        assert sifts == []
+        verify_normalises(H, [P(6, (1, 3), (2, 4))])
+        assert len(sifts) == len(H.generators)
+        with pytest.raises(InvariantViolation):
+            verify_normalises(H, list(H.generators) + [P(6, (1, 5))])
 
     def test_found_group_rejects_non_normalising(self):
         inst = build_instance(code_to_group(M(3, [[1, 0, 1], [0, 1, 1]])), 3)
