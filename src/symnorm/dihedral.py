@@ -16,12 +16,14 @@ point fixed by the complement found by averaging a section through F_2
 pivot generators over their 2^rank patterns, so the complement costs
 O(rank) per orbit and its rank has no limit.
 
-The normaliser is then assembled from two cyclic-class searches: one for
-the complement acting on a transversal of two-point blocks, the points u
-steps either side of alpha_i on each normalised cycle, one for the
-rotation part with the orbit permutations restricted to those induced by
-the first.  Each generator of the rotation normaliser is lifted by the one
-per-orbit rotation that sends the fixed points back onto fixed points.
+The normaliser is then assembled from two cyclic-class searches.  The
+first runs on the complement's sign code, the F_2 code of its patterns
+(1 where eps_i = -1), read as an orbit-wise cyclic group of order 2 on k
+two-point orbits; it gives kappa, the orbit permutations that fix the sign
+code.  The second runs on the rotation code with the orbit permutations
+restricted to kappa.  Each generator of the rotation normaliser is lifted
+by the one per-orbit rotation that sends the fixed points back onto fixed
+points.
 """
 
 from __future__ import annotations
@@ -38,13 +40,13 @@ from symnorm.encode import (
     instance_from_code,
     recognise_orbits,
 )
-from symnorm.gfp import InvariantViolation, PrimeField, VectorSpan
-from symnorm.perm import PermGroup, Permutation, restrict_to
+from symnorm.gfp import PrimeField, VectorSpan
+from symnorm.perm import PermGroup, Permutation
 from symnorm.search import (
     NormalizerResult,
     SearchConfig,
     full_search,
-    normalizer_in_sym,
+    instance_normalizer,
     verify_normalises,
 )
 
@@ -63,6 +65,7 @@ class DihedralInstance:
     complement: PermGroup  # elementary abelian complement of involutions
     alpha: tuple[int, ...]  # alpha[i] is the point of orbit i fixed by it
     rot_inst: InPInstance  # the rotations, in the same orbit order
+    signs: tuple[tuple[int, ...], ...]  # F_2 basis of the complement's sign code
 
     @property
     def p(self) -> int:
@@ -152,21 +155,8 @@ def build_dihedral(H: PermGroup, p: int) -> DihedralInstance:
         complement=PermGroup.from_gens(H.degree, complement),
         alpha=tuple(cycles[j][alpha[j]] for j in order),
         rot_inst=rot_inst,
+        signs=tuple(tuple(int(e[j] < 0) for j in order) for e, _ in pivots),
     )
-
-
-def _transversal_blocks(inst: DihedralInstance) -> list[tuple[int, int]]:
-    """One nontrivial 2-point block of the complement per orbit: the points
-    u steps either side of alpha on its cycle, u the step from alpha to the
-    least other point of the orbit holding the least point."""
-    rot = inst.rot_inst
-    first = min(range(inst.k), key=lambda i: inst.orbits[i][0])
-    rest = [q for q in inst.orbits[first] if q != inst.alpha[first]]
-    u = rot.point_exp[rest[0]] - rot.point_exp[inst.alpha[first]]
-    return [
-        tuple(sorted(cyc[(rot.point_exp[a] + d) % inst.p] for d in (u, -u)))
-        for cyc, a in zip(rot.orbit_cycles, inst.alpha)
-    ]
 
 
 def normalizer_dihedral(
@@ -175,16 +165,18 @@ def normalizer_dihedral(
     """Exact normaliser of an orbit-wise dihedral group in the symmetric
     group on its points.
 
-    The complement is normalised block-wise on a transversal of two-point
-    blocks; the permutations it induces on the orbits bound where the
-    rotation normaliser can move orbits.  Each generator y of the rotation
+    The first search runs on the complement's sign code: orbit i becomes
+    the two points 2i+1, 2i+2, swapped by exactly the elements whose sign
+    pattern is -1 at i.  The orbit permutations of its normaliser are those
+    that fix the sign code, kappa, and they bound where the rotation
+    normaliser can move orbits.  Each generator y of the rotation
     normaliser is lifted to tau = y * prod_j g_j^(r_j), where g_j is the
     rotation of orbit j and r_j sends the image of a fixed point back to
     the fixed point alpha_j: the one element of y times the orbit rotations
     that maps fixed points onto fixed points.  The final group is
-    generated by these lifts together with the group itself.  Both
-    searches share one deadline: the second gets what the first left of
-    cfg.time_limit.
+    generated by these lifts together with the group itself, and each of
+    its generators is checked against the group.  Both searches share one
+    deadline: the second gets what the first left of cfg.time_limit.
 
     The order is a closed form, |N| = |N_R| * p^(s - k), with N_R the
     rotation normaliser found and s the dimension of the rotation code.
@@ -197,28 +189,20 @@ def normalizer_dihedral(
     """
     cfg = cfg or SearchConfig()
     started = time.monotonic()
-    rot = inst.rot_inst
-    stats: dict = {}
+    rot, k = inst.rot_inst, inst.k
 
-    # normaliser of the complement on the block transversal
-    blocks = _transversal_blocks(inst)
-    gamma_pts = sorted(q for blk in blocks for q in blk)
-    h2_restricted = PermGroup.from_gens(
-        inst.degree, [restrict_to(g, gamma_pts) for g in inst.complement.generators]
-    )
-    sub2 = normalizer_in_sym(h2_restricted, 2, method="full", cfg=cfg)
-    stats.update({f"blocks_{key}": v for key, v in sub2.stats.items()})
+    # kappa, read off the sign-code normaliser: point 2i+1 goes to orbit
+    # pi(i+1)'s pair
+    pairs = [(2 * i + 1, 2 * i + 2) for i in range(k)]
+    sign_code = instance_from_code(PrimeField(2), 2 * k, pairs, inst.signs)
+    sub2 = instance_normalizer(sign_code, "full", cfg)
+    stats = {f"blocks_{key}": v for key, v in sub2.stats.items()}
+    induced = [
+        Permutation([(g.image(a) + 1) // 2 for a, _ in pairs]) for g in sub2.generators
+    ]
+    kappa_group = PermGroup.from_gens(k, induced)
 
-    # rotation normaliser with orbit permutations restricted to those
-    # induced through the blocks
-    lookup = {frozenset(b): i + 1 for i, b in enumerate(blocks)}
-    induced = []
-    for g in sub2.generators:
-        imgs = [lookup.get(frozenset(g.image(q) for q in blk)) for blk in blocks]
-        if None in imgs:
-            raise InvariantViolation("block normaliser must permute the blocks")
-        induced.append(Permutation(imgs))
-    kappa_group = PermGroup.from_gens(inst.k, induced)
+    # rotation normaliser with orbit permutations in kappa
     if cfg.time_limit is not None:
         cfg = replace(cfg, time_limit=cfg.time_limit - (time.monotonic() - started))
     sub_p = full_search(rot, cfg, kappa_group=kappa_group)
@@ -227,7 +211,7 @@ def normalizer_dihedral(
     # lift each generator by the rotation correction onto the fixed points
     lifted = []
     for y in sub_p.generators:
-        shift = [0] * inst.k
+        shift = [0] * k
         for a in inst.alpha:
             pt = y.image(a)
             j = rot.point_orbit[pt]

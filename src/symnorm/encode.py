@@ -429,11 +429,10 @@ class ReduceResult:
         return Permutation(imgs)
 
 
-def reduce_equivalent_orbits(H: PermGroup, p: int) -> ReduceResult:
+def reduce_equivalent_orbits(inst: InPInstance) -> ReduceResult:
     """Set up the reduction of the normaliser computation to one orbit per
     equivalence class; the reduced instance is the instance itself when
     the orbits are pairwise inequivalent."""
-    inst = build_instance(H, p)
     orbit_classes = equivalent_orbit_swaps(inst, inst.matrix)
     classes = [cell for cell, _ in orbit_classes]
     ident = Permutation.identity(inst.degree)

@@ -273,18 +273,6 @@ def orbits_of(gens, domain) -> list[list[int]]:
     return out
 
 
-def restrict_to(g: Permutation, delta) -> Permutation:
-    """The permutation agreeing with g on delta and fixing all else."""
-    dset = set(delta)
-    images = list(range(1, g.degree + 1))
-    for pt in dset:
-        im = g.images[pt - 1]
-        if im not in dset:
-            raise ValueError(f"{sorted(dset)} is not invariant under {g!r}")
-        images[pt - 1] = im
-    return Permutation(images)
-
-
 # ---------------------------------------------------------------------------
 # stabiliser chains
 
@@ -528,6 +516,8 @@ def parse_group(text: str) -> tuple[int, int, list[Permutation]]:
         raise ValueError("empty group text")
     try:
         p, n = (int(x) for x in lines[0].split())
+        if n < 0:
+            raise ValueError
     except ValueError as exc:
         raise ValueError(f"bad group header {lines[0]!r}") from exc
     gens = []

@@ -24,6 +24,7 @@ from symnorm.encode import (
     NotInClass,
     affine_parts,
     affine_perm,
+    build_instance,
     decompose_bk,
     eliminate_column,
     equivalent_orbit_swaps,
@@ -53,7 +54,7 @@ class SearchTimeout(Exception):
 
 @dataclass
 class SearchConfig:
-    """Feature toggles and budgets for one search run."""
+    """Which pruning rules a search uses, and its wall-clock limit."""
 
     use_lds: bool = True
     use_stabs: bool = True
@@ -216,7 +217,8 @@ def domains_init(
 
 
 # ---------------------------------------------------------------------------
-# pruning rules
+# pruning rules: domain sets are never changed in place, so domain lists may
+# share them; a rule copies the list and rebinds the entries it narrows
 
 
 def build_ld_sets(m: FpMatrix, pivots) -> list[tuple[int, ...]]:
@@ -235,7 +237,7 @@ def check_lds(mat: FpMatrix, ld_sets, alpha, doms) -> list[set[int]]:
     """Restrict the image of the single unassigned member of each dependent
     set to the span of the assigned members' image columns."""
     d = len(alpha)
-    doms = [set(x) for x in doms]
+    doms = list(doms)
     for lds in ld_sets:
         unassigned = [i for i in lds if i > d]
         if len(unassigned) != 1:
@@ -263,7 +265,7 @@ def compare_stabs(
     have the same p^s, so it refuses both or neither).  src_sizes is
     _class_sizes(mstab), which the search computes once per depth; wcache
     keeps the enumerators by matrix rows."""
-    doms = [set(x) for x in doms]
+    doms = list(doms)
     if mstab.s != mstab_im.s:
         return False, doms
     src_multiset, src_per_col = src_sizes
@@ -288,7 +290,7 @@ def deep_prune(mstd: FpMatrix, alpha, doms) -> list[set[int]]:
     of that column must avoid row i's support."""
     s, k, p = mstd.s, mstd.k, mstd.p
     d = len(alpha)
-    doms = [set(x) for x in doms]
+    doms = list(doms)
     for i in range(s):
         row = mstd.rows[i]
         hot = [u for u in range(s) if row[alpha[u] - 1]]
@@ -302,7 +304,7 @@ def all_diff_refiner(doms) -> list[set[int]] | None:
     """Propagate distinctness of images: a set of domains shared by as many
     orbits as it has values consumes those values everywhere else; more
     orbits than values, or an empty domain, kills the branch."""
-    doms = [set(x) for x in doms]
+    doms = list(doms)
     k = len(doms)
     changed = True
     while changed:
@@ -319,7 +321,7 @@ def all_diff_refiner(doms) -> list[set[int]] | None:
                 idx_set = set(idxs)
                 for j in range(k):
                     if j not in idx_set and doms[j] & key:
-                        doms[j] -= key
+                        doms[j] = doms[j] - key
                         changed = True
     return doms
 
@@ -350,13 +352,13 @@ class _Search:
         cfg: SearchConfig,
         method: str,
         kappa_group: PermGroup | None = None,
-        domain_restrict=None,
+        sizes: tuple[int, ...] | None = None,
     ):
         self.inst = inst
         self.cfg = cfg
         self.method = method
         self.kappa_group = kappa_group
-        self.domain_restrict = domain_restrict
+        self.sizes = sizes
         self.k, self.s, self.p = inst.k, inst.s, inst.p
         self.found = FoundGroup(inst)
         self.stats: Counter = Counter()
@@ -378,11 +380,10 @@ class _Search:
     def _kappa_allowed(self, pi: Permutation) -> bool:
         if self.kappa_group is not None and not self.kappa_group.contains(pi):
             return False
-        if self.domain_restrict is not None:
-            for i in range(1, self.k + 1):
-                if pi.image(i) not in self.domain_restrict[i - 1]:
-                    return False
-        return True
+        sizes = self.sizes
+        return sizes is None or all(
+            sizes[pi.image(i) - 1] == sizes[i - 1] for i in range(1, self.k + 1)
+        )
 
     def _jump_target(self, alpha) -> int:
         j = 0
@@ -398,11 +399,10 @@ class _Search:
         doms = domains_init(inst, self.found, cfg, kappa_gate=self._kappa_allowed)
         if self.kappa_group is not None:
             for i in range(self.k):
-                reachable = orbit_of(i + 1, self.kappa_group.generators)
-                doms[i] &= reachable
-        if self.domain_restrict is not None:
-            for i in range(self.k):
-                doms[i] &= self.domain_restrict[i]
+                doms[i] = doms[i] & orbit_of(i + 1, self.kappa_group.generators)
+        sizes = self.sizes
+        if sizes is not None:
+            doms = [{j for j in d if sizes[j - 1] == n} for d, n in zip(doms, sizes)]
 
         # the code (pivots 1..s) and, unless it is empty, its dual (pivots
         # s+1..k): both have the monomial automorphisms the search seeks
@@ -481,7 +481,7 @@ class _Search:
         for c in sorted(doms[d]):
             if c in used:
                 continue
-            child = [set(x) for x in doms]
+            child = list(doms)
             child[d] = {c}
             res = self._recurse(
                 alpha + (c,),
@@ -566,26 +566,24 @@ def full_search(
     inst: InPInstance,
     cfg: SearchConfig | None = None,
     kappa_group: PermGroup | None = None,
-    domain_restrict=None,
+    sizes: tuple[int, ...] | None = None,
 ) -> NormalizerResult:
     """Exact normaliser of the instance group inside the symmetric group on
-    its orbits' points, by full-depth backtracking."""
-    return _Search(
-        inst, cfg or SearchConfig(), "full", kappa_group, domain_restrict
-    ).run()
+    its orbits' points, by full-depth backtracking.  kappa_group and sizes
+    limit the orbit permutations: to that group, and to those keeping the
+    size sizes[i] of every orbit i."""
+    return _Search(inst, cfg or SearchConfig(), "full", kappa_group, sizes).run()
 
 
 def limit_depth_search(
     inst: InPInstance,
     cfg: SearchConfig | None = None,
     kappa_group: PermGroup | None = None,
-    domain_restrict=None,
+    sizes: tuple[int, ...] | None = None,
 ) -> NormalizerResult:
     """Same result as full_search, but the tree is cut at the code
     dimension and completed by enumerating pivot-image scalings."""
-    return _Search(
-        inst, cfg or SearchConfig(), "limitdepth", kappa_group, domain_restrict
-    ).run()
+    return _Search(inst, cfg or SearchConfig(), "limitdepth", kappa_group, sizes).run()
 
 
 # ---------------------------------------------------------------------------
@@ -619,7 +617,7 @@ def _dual_swappable(inst: InPInstance, method: str) -> bool:
 
 
 def _search_with_dual_swap(
-    inst: InPInstance, method: str, cfg: SearchConfig, domain_restrict=None
+    inst: InPInstance, method: str, cfg: SearchConfig, sizes: tuple[int, ...]
 ) -> NormalizerResult:
     """Run the search on the instance, or on its dual when that has lower
     dimension, mapping dual normalisers back by inverting the orbit-fixing
@@ -628,18 +626,15 @@ def _search_with_dual_swap(
     and both normalisers have order p^k times that group's order."""
     runner = full_search if method == "full" else limit_depth_search
     if not _dual_swappable(inst, method):
-        return runner(inst, cfg, domain_restrict=domain_restrict)
+        return runner(inst, cfg, sizes=sizes)
 
     dual_inst = instance_from_code(
         inst.field, inst.degree, inst.orbit_cycles, inst.dual.rows
     )
-    restrict_d = None
-    if domain_restrict is not None:
-        to_dual = [dual_inst.point_orbit[cyc[0]] for cyc in inst.orbit_cycles]
-        restrict_d = [set() for _ in range(inst.k)]
-        for i in range(inst.k):
-            restrict_d[to_dual[i]] = {to_dual[j - 1] + 1 for j in domain_restrict[i]}
-    sub = runner(dual_inst, cfg, domain_restrict=restrict_d)
+    dual_sizes = [0] * inst.k
+    for cyc, n in zip(inst.orbit_cycles, sizes):
+        dual_sizes[dual_inst.point_orbit[cyc[0]]] = n
+    sub = runner(dual_inst, cfg, sizes=tuple(dual_sizes))
 
     # repeats are left to the pipeline's final PermGroup.from_gens
     gens = list(inst.orbit_gens) + [_dual_mirror(inst, g) for g in sub.generators]
@@ -648,15 +643,16 @@ def _search_with_dual_swap(
     return NormalizerResult(tuple(gens), sub.order, stats, sub.method)
 
 
-def normalizer_in_sym(
-    H: PermGroup, p: int, method: str = "full", cfg: SearchConfig | None = None
+def instance_normalizer(
+    inst: InPInstance, method: str, cfg: SearchConfig
 ) -> NormalizerResult:
-    """Normaliser of H in the symmetric group on the points H moves.
+    """Normaliser of the instance's group in the symmetric group on its
+    degree points, unverified.
 
     Equivalent orbits are collapsed first; the search then runs on one
     orbit per class (against the dual code when that is smaller), and the
     result is assembled from the embedded search output and the
-    centraliser.  Every returned generator is verified by conjugation.
+    centraliser.
 
     The order comes from a closed form, not a chain over the result:
     |N| = |N_red| * p^(k - k_red) * prod(m_i!), where N_red is the
@@ -665,31 +661,29 @@ def normalizer_in_sym(
     copies in a class follow their representative, so each adds only its
     own cycle, and the copies of a class may be permuted freely.
     """
-    if method not in ("full", "limitdepth"):
-        raise ValueError(f"unknown method {method!r}")
-    cfg = cfg or SearchConfig()
-    red = reduce_equivalent_orbits(H, p)
-    inst, sizes = red.reduced, red.class_sizes
-
-    # representatives may only be exchanged within one class size
-    domain_restrict = None
-    if len(set(sizes)) > 1:
-        domain_restrict = [
-            {j + 1 for j in range(inst.k) if sizes[j] == sizes[i]}
-            for i in range(inst.k)
-        ]
-    sub = _search_with_dual_swap(inst, method, cfg, domain_restrict)
-
+    red = reduce_equivalent_orbits(inst)
+    sizes = red.class_sizes
+    sub = _search_with_dual_swap(red.reduced, method, cfg, sizes)
     gens = [red.theta(g) for g in sub.generators]
     gens.extend(red.centralizer_gens)
     order = (
         sub.order
-        * p ** (red.instance.k - inst.k)
+        * inst.p ** (inst.k - red.reduced.k)
         * prod(factorial(m) for m in sizes)
     )
+    group = PermGroup.from_gens(inst.degree, gens)
+    return NormalizerResult(group.generators, order, sub.stats, method)
 
-    group = PermGroup.from_gens(H.degree, gens)
-    verify_normalises(H, group.generators)
-    stats = dict(sub.stats)
-    stats["verified_generators"] = len(group.generators)
-    return NormalizerResult(group.generators, order, stats, method)
+
+def normalizer_in_sym(
+    H: PermGroup, p: int, method: str = "full", cfg: SearchConfig | None = None
+) -> NormalizerResult:
+    """Normaliser of H in the symmetric group on the points H moves:
+    recognition (encode.build_instance), instance_normalizer, and a check
+    of every returned generator by conjugation."""
+    if method not in ("full", "limitdepth"):
+        raise ValueError(f"unknown method {method!r}")
+    res = instance_normalizer(build_instance(H, p), method, cfg or SearchConfig())
+    verify_normalises(H, res.generators)
+    stats = dict(res.stats, verified_generators=len(res.generators))
+    return NormalizerResult(res.generators, res.order, stats, method)

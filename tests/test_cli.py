@@ -167,6 +167,14 @@ class TestMain:
         assert main(["compute", "--in", str(path)]) == 2
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("header", ["3 -1", "3", "3 x", "3 4 5"])
+    def test_bad_group_header_is_rejected(self, tmp_path, capsys, header):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"{header}\n")
+        assert main(["compute", "--in", str(path), "--method", "oracle"]) == 2
+        out = capsys.readouterr()
+        assert f"bad group header {header!r}" in out.err and out.out == ""
+
     def test_not_in_class_is_diagnosed(self, tmp_path, capsys):
         path = tmp_path / "bad.txt"
         path.write_text("2 3\n(1 2 3)\n")

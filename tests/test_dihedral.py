@@ -11,10 +11,10 @@ import symnorm.search as search_module
 from symnorm.cli import gen_instance, main, random_full_rank
 from symnorm.dihedral import build_dihedral, normalizer_dihedral
 from symnorm.encode import NotInClass, code_to_group
-from symnorm.gfp import FpMatrix, matrix_rank
+from symnorm.gfp import FpMatrix, InvariantViolation, matrix_rank
 from symnorm.oracle import brute_normalizer, brute_normalizer_elements
 from symnorm.perm import PermGroup, Permutation, format_group, orbits_of
-from symnorm.search import SearchConfig, SearchTimeout
+from symnorm.search import SearchConfig, SearchTimeout, normalizer_in_sym
 
 
 def P(n, *cycles):
@@ -281,25 +281,6 @@ class TestRecognition:
                     assert other.rot_inst.orbit_cycles == inst.rot_inst.orbit_cycles
                     assert other.rot_inst.matrix == inst.rot_inst.matrix
 
-    def test_blocks_rooted_at_alpha(self):
-        # block i is the pair u steps either side of alpha_i on orbit i's
-        # cycle, one u for all orbits, and the complement maps it to itself
-        rng = random.Random(17)
-        for p, k, dim in [(3, 6, 2), (5, 5, 3), (7, 8, 3)]:
-            base, _ = gen_instance(p, k, dim, 1, dihedral=True)
-            inst = build_dihedral(word_generated(rng, base.degree, base.generators), p)
-            rot = inst.rot_inst
-            blocks = dihedral_module._transversal_blocks(inst)
-            steps = set()
-            for cyc, a, blk in zip(rot.orbit_cycles, inst.alpha, blocks):
-                e = cyc.index(a)
-                u = (cyc.index(blk[0]) - e) % p
-                assert u and sorted([cyc[(e + u) % p], cyc[(e - u) % p]]) == list(blk)
-                steps.add(min(u, p - u))
-                for g in inst.complement.generators:
-                    assert sorted(g.image(q) for q in blk) == list(blk)
-            assert len(steps) == 1
-
     @pytest.mark.parametrize(
         "p, degree, gens, match", [c[1:] for c in DIHEDRAL_REJECTIONS],
         ids=[c[0] for c in DIHEDRAL_REJECTIONS],
@@ -312,6 +293,127 @@ class TestRecognition:
         path.write_text(format_group(p, degree, grp.generators))
         assert main(["compute", "--in", str(path), "--method", "dihedral"]) == 2
         assert re.search(match, capsys.readouterr().err)
+
+
+def transversal_kappa(inst):
+    """kappa by the transversal-block route: the complement restricted to
+    one two-point block per orbit, the points u steps either side of
+    alpha_i on its cycle (u the step from alpha to the least other point of
+    the orbit holding the least point), normalised by normalizer_in_sym
+    over F_2, and the block permutations its generators induce."""
+    rot, p = inst.rot_inst, inst.p
+    first = min(range(inst.k), key=lambda i: inst.orbits[i][0])
+    rest = [q for q in inst.orbits[first] if q != inst.alpha[first]]
+    u = rot.point_exp[rest[0]] - rot.point_exp[inst.alpha[first]]
+    blocks = [
+        frozenset(cyc[(rot.point_exp[a] + d) % p] for d in (u, -u))
+        for cyc, a in zip(rot.orbit_cycles, inst.alpha)
+    ]
+    restricted = []
+    for g in inst.complement.generators:
+        images = list(range(1, inst.degree + 1))
+        for q in frozenset().union(*blocks):
+            images[q - 1] = g.image(q)
+        restricted.append(Permutation(images))
+    res = normalizer_in_sym(PermGroup.from_gens(inst.degree, restricted), 2)
+    lookup = {blk: i + 1 for i, blk in enumerate(blocks)}
+    induced = [
+        Permutation([lookup[frozenset(g.image(q) for q in blk)] for blk in blocks])
+        for g in res.generators
+    ]
+    return PermGroup.from_gens(inst.k, induced)
+
+
+class _Kappa(Exception):
+    """Carries the kappa group out of normalizer_dihedral before the
+    rotation search."""
+
+
+def sign_code_kappa(inst, monkeypatch):
+    """The kappa group that normalizer_dihedral hands the rotation search."""
+
+    def stop(rot, cfg, kappa_group):
+        raise _Kappa(kappa_group)
+
+    with monkeypatch.context() as patch, pytest.raises(_Kappa) as caught:
+        patch.setattr(dihedral_module, "full_search", stop)
+        normalizer_dihedral(inst)
+    return caught.value.args[0]
+
+
+class TestKappa:
+    """kappa, read off the normaliser of the complement's sign code,
+    against the transversal-block route: the same group, by order and
+    mutual membership."""
+
+    @staticmethod
+    def groups():
+        rng = random.Random(23)
+        cells = [(3, 6, 2), (5, 5, 3), (7, 6, 2), (3, 10, 4), (3, 8, 3), (5, 8, 3),
+                 (3, 14, 5), (11, 6, 2), (13, 5, 2), (7, 37, 3)]
+        for p, k, dim in cells:
+            for seed in range(1 if k > 30 else 3):
+                base, _ = gen_instance(p, k, dim, seed, dihedral=True)
+                yield p, base
+                yield p, word_generated(rng, base.degree, base.generators)
+        for p, k in [(3, 4), (5, 3), (7, 3), (3, 8)]:
+            base = PermGroup.from_gens(p * k, dihedral_power(p, k))
+            yield p, base
+            yield p, word_generated(rng, base.degree, base.generators)
+        # one reflection of every orbit: the sign code is the repetition code
+        for p, t, b in [(3, 1, 4), (5, 2, 3), (7, 3, 2)]:
+            rot = M(p, [[int(i // b == j) for i in range(t * b)] for j in range(t)])
+            base = dihedral_group_from_codes(p, rot, M(2, [[1] * (t * b)]))
+            yield p, base
+            yield p, word_generated(rng, base.degree, base.generators)
+
+    def test_same_group_as_transversal_blocks(self, monkeypatch):
+        moved = big = 0
+        for p, grp in self.groups():
+            inst = build_dihedral(grp, p)
+            new, ref = sign_code_kappa(inst, monkeypatch), transversal_kappa(inst)
+            assert new.order() == ref.order()
+            assert all(ref.contains(g) for g in new.generators)
+            assert all(new.contains(g) for g in ref.generators)
+            moved += new.order() > 1
+            big += grp.degree > 256
+        assert moved >= 20 and big == 2
+
+    def test_kappa_too_large_fails_the_final_check(self, monkeypatch):
+        # every orbit permutation allowed: the rotation search then finds
+        # elements that do not normalise the group, and the check of the
+        # output generators refuses them
+        grp, _ = gen_instance(3, 6, 2, 1, dihedral=True)
+        inst = build_dihedral(grp, 3)
+        search = dihedral_module.full_search
+        k = inst.k
+        sym = PermGroup.from_gens(k, [P(k, (1, 2)), P(k, tuple(range(1, k + 1)))])
+        assert sign_code_kappa(inst, monkeypatch).order() < sym.order()
+
+        def everything(rot, cfg, kappa_group):
+            return search(rot, cfg, kappa_group=sym)
+
+        monkeypatch.setattr(dihedral_module, "full_search", everything)
+        with pytest.raises(InvariantViolation, match="fails to normalise"):
+            normalizer_dihedral(inst)
+
+    def test_one_verification_per_call(self, monkeypatch):
+        checked = []
+        verify = search_module.verify_normalises
+
+        def counted(H, gens):
+            checked.append(H)
+            return verify(H, gens)
+
+        monkeypatch.setattr(dihedral_module, "verify_normalises", counted)
+        monkeypatch.setattr(search_module, "verify_normalises", counted)
+        grp, _ = gen_instance(3, 6, 2, 0, dihedral=True)
+        inst = build_dihedral(grp, 3)
+        normalizer_dihedral(inst)
+        assert checked == [grp]
+        cyclic, _ = gen_instance(3, 6, 2, 0)
+        normalizer_in_sym(cyclic, 3)
+        assert checked == [grp, cyclic]
 
 
 class TestNormalizerDihedral:
@@ -380,7 +482,7 @@ class TestNormalizerDihedral:
         monkeypatch.setattr(dihedral_module, "time", fake_time)
         monkeypatch.setattr(search_module, "time", fake_time)
         spans = []
-        block_search = dihedral_module.normalizer_in_sym
+        block_search = dihedral_module.instance_normalizer
 
         def timed_block_search(*args, **kwargs):
             t0 = clock.now
@@ -388,7 +490,7 @@ class TestNormalizerDihedral:
             spans.append(clock.now - t0)
             return res
 
-        monkeypatch.setattr(dihedral_module, "normalizer_in_sym", timed_block_search)
+        monkeypatch.setattr(dihedral_module, "instance_normalizer", timed_block_search)
         grp, _ = gen_instance(3, 6, 2, 0, dihedral=True)
         inst = build_dihedral(grp, 3)
         start = clock.now

@@ -28,7 +28,7 @@ from symnorm.encode import (
 )
 from symnorm.cli import gen_instance, main
 from symnorm.gfp import FpMatrix
-from symnorm.perm import PermGroup, Permutation, format_group, restrict_to
+from symnorm.perm import PermGroup, Permutation, format_group
 from symnorm.search import norm_b, normalizer_in_sym
 
 
@@ -398,7 +398,7 @@ def centralizer(H, p):
     """The centraliser of H in the symmetric group on its orbits: per-orbit
     cycles plus exponent-matched swaps of equivalent orbits."""
     return PermGroup.from_gens(
-        H.degree, reduce_equivalent_orbits(H, p).centralizer_gens
+        H.degree, reduce_equivalent_orbits(build_instance(H, p)).centralizer_gens
     )
 
 
@@ -443,13 +443,13 @@ class TestEquivSwap:
 
 class TestReduce:
     def test_identity_reduction(self):
-        red = reduce_equivalent_orbits(e1_group(), 2)
+        red = reduce_equivalent_orbits(build_instance(e1_group(), 2))
         assert red.reduced is red.instance
         assert red.class_sizes == (1, 1, 1)
 
     def test_diagonal_c3(self):
         grp = PermGroup.from_gens(6, [P(6, (1, 2, 3), (4, 5, 6))])
-        red = reduce_equivalent_orbits(grp, 3)
+        red = reduce_equivalent_orbits(build_instance(grp, 3))
         assert red.reduced.orbits == ((1, 2, 3),)
         assert [gamma_inv(red.reduced, r) for r in red.reduced.matrix.rows] == [
             P(6, (1, 2, 3))
@@ -464,7 +464,7 @@ class TestReduce:
 
     def test_theta_normalises(self):
         grp = code_to_group(M(3, [[1, 2, 1, 2]]))
-        red = reduce_equivalent_orbits(grp, 3)
+        red = reduce_equivalent_orbits(build_instance(grp, 3))
         assert red.reduced.orbits == ((1, 2, 3),)
         assert red.class_sizes == (4,)
         # exponent scaling on the representative orbit extends to all orbits
@@ -502,7 +502,7 @@ class TestThetaOracle:
         moved = rejected = 0
         for _ in range(3):
             grp = repeated_columns_group(rng, p, copies)
-            red = reduce_equivalent_orbits(grp, p)
+            red = reduce_equivalent_orbits(build_instance(grp, p))
             reduced = red.reduced
             rep_group = PermGroup.from_gens(
                 grp.degree, [gamma_inv(reduced, r) for r in reduced.matrix.rows]
@@ -537,11 +537,20 @@ class TestThetaOracle:
         # representatives the identity code on them lets change places
         rng = random.Random(53)
         grp = conjugated(code_to_group(M(3, [[1, 0, 0], [0, 1, 2]])), rng)
-        red = reduce_equivalent_orbits(grp, 3)
+        red = reduce_equivalent_orbits(build_instance(grp, 3))
         assert sorted(red.class_sizes) == [1, 2]
         swap = affine_perm(red.reduced, Permutation([2, 1]))
         with pytest.raises(ValueError, match="different sizes"):
             red.theta(swap)
+
+
+def restrict(g, points):
+    """The permutation agreeing with g on the g-invariant points and fixing
+    all else."""
+    images = list(range(1, g.degree + 1))
+    for q in points:
+        images[q - 1] = g.image(q)
+    return Permutation(images)
 
 
 def assert_same_instance(a, b):
@@ -574,10 +583,10 @@ class TestInstanceFromCode:
                 grp, _ = gen_instance(p, k, dim, seed)
                 if seed % 2:
                     grp = conjugated(grp, rng)
-                red = reduce_equivalent_orbits(grp, p)
+                red = reduce_equivalent_orbits(build_instance(grp, p))
                 points = [q for orb in red.reduced.orbits for q in orb]
                 restricted = PermGroup.from_gens(
-                    grp.degree, [restrict_to(x, points) for x in grp.generators]
+                    grp.degree, [restrict(x, points) for x in grp.generators]
                 )
                 assert_same_instance(red.reduced, build_instance(restricted, p))
                 reduced += red.reduced is not red.instance

@@ -10,7 +10,6 @@ from symnorm.perm import (
     orbits_of,
     parse_group,
     parse_permutation,
-    restrict_to,
 )
 
 try:
@@ -113,21 +112,6 @@ class TestOrbitsRestrict:
         a = P(6, (1, 2, 3), (4, 5, 6))
         b = P(6, (1, 2, 3))
         assert orbits_of([a, b], range(1, 7)) == [[1, 2, 3], [4, 5, 6]]
-
-    def test_restrict(self):
-        g = P(4, (1, 2), (3, 4))
-        assert restrict_to(g, {1, 2}) == P(4, (1, 2))
-        assert restrict_to(Permutation.identity(4), {1, 2}).is_identity()
-
-    def test_restrict_non_invariant(self):
-        with pytest.raises(ValueError):
-            restrict_to(P(4, (1, 2), (3, 4)), {1, 3})
-
-    def test_restrict_product(self):
-        g = P(6, (1, 2, 3), (4, 5, 6))
-        left = restrict_to(g, {1, 2, 3})
-        right = restrict_to(g, {4, 5, 6})
-        assert left * right == g
 
 
 class TestStabChain:

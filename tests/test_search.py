@@ -307,6 +307,27 @@ class TestAllDiff:
         assert all_diff_refiner([{1, 2}, {1, 2}, {1, 2}]) is None
 
 
+class TestSharedDomains:
+    """A node and its children share domain sets, so every rule must leave
+    the sets it is given unchanged."""
+
+    def test_rules_leave_their_input_sets_alone(self):
+        wide = {1, 2, 3}
+        assert all_diff_refiner([{1}, wide, wide]) == [{1}, {2, 3}, {2, 3}]
+        assert wide == {1, 2, 3}
+
+        pair = {3, 4}
+        m = M(2, [[1, 0, 1, 0], [0, 1, 0, 1]])
+        assert deep_prune(m, (1, 2, 3), [{1}, {2}, {3}, pair])[3] == {4}
+        assert pair == {3, 4}
+
+        # column classes {1, 2}, {3} against {2, 3}, {1}
+        a, b = M(2, [[1, 1, 0]]), M(2, [[0, 1, 1]])
+        ok, doms = compare_stabs(a, _class_sizes(a), b, (), [wide] * 3)
+        assert ok and doms == [{2, 3}, {2, 3}, {1}]
+        assert wide == {1, 2, 3}
+
+
 class TestFullSearch:
     def test_e1_order(self):
         inst = build_instance(e1_group(), 2)
@@ -668,11 +689,13 @@ class TestKnownOrders:
     def test_equivalent_orbits(self, p, k, dim):
         for seed in range(6):
             grp, _ = gen_instance(p, k, dim, seed)
-            red = reduce_equivalent_orbits(grp, p)
+            red = reduce_equivalent_orbits(build_instance(grp, p))
             assert red.reduced.k < red.instance.k
             for method in ("full", "limitdepth"):
                 res = normalizer_in_sym(grp, p, method=method)
                 assert res.order == sympy_order(res.generators)
+                # the domains keep class sizes, so no leaf mixes them
+                assert "leaf_outside_target" not in res.stats
 
     @pytest.mark.parametrize("p,k,dim,seed", [(3, 10, 2, 4), (5, 8, 2, 1), (5, 8, 6, 1)])
     def test_dual_swapped(self, p, k, dim, seed):
