@@ -129,7 +129,9 @@ def gen_instance(
     Plain mode emits the block group of one random full-rank code.  The
     dihedral mode overlays reflection patterns from a second random code
     over F_2; both parts are redrawn until no orbit is left untouched, so
-    every restriction is genuinely dihedral.
+    every restriction is genuinely dihedral.  dim bounds only the drawn
+    rotations: the group's rotations are their normal closure, closed
+    under the reflections' sign flips, which is usually all of F_p^k.
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")

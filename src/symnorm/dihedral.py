@@ -21,9 +21,11 @@ first runs on the complement's sign code, the F_2 code of its patterns
 (1 where eps_i = -1), read as an orbit-wise cyclic group of order 2 on k
 two-point orbits; it gives kappa, the orbit permutations that fix the sign
 code.  The second runs on the rotation code with the orbit permutations
-restricted to kappa.  Each generator of the rotation normaliser is lifted
-by the one per-orbit rotation that sends the fixed points back onto fixed
-points.
+restricted to kappa.  Where a code is all of F_p^k, as the rotation code
+usually is, its search returns in closed form: every allowed orbit
+permutation normalises.  Each generator of the rotation normaliser is
+lifted by the one per-orbit rotation that sends the fixed points back onto
+fixed points.
 """
 
 from __future__ import annotations
@@ -180,8 +182,9 @@ def normalizer_dihedral(
 
     The order is a closed form, |N| = |N_R| * p^(s - k), with N_R the
     rotation normaliser found and s the dimension of the rotation code.
-    The search seeds N_R with every orbit cycle, so N_R contains the p^k
-    orbit translations T and N_R = T x| S, where S is the stabiliser of
+    N_R starts from every orbit cycle, whether the search walks its tree
+    or, with s = k, returns in closed form, so N_R contains the p^k orbit
+    translations T and N_R = T x| S, where S is the stabiliser of
     the fixed points alpha; y -> y * prod_j g_j^(r_j) is the projection
     onto S, so the lifts generate S.  The group H = R x| C meets S in the
     complement C (a rotation fixing every alpha_j is trivial), hence

@@ -8,7 +8,9 @@ dependencies among columns, stabiliser-code column classes and weight
 enumerators, zero-pattern implications, domain all-difference propagation,
 and orbit-minimality against the group found so far.  Leaves are decided
 exactly by comparing canonical representatives.  A depth-limited variant
-stops at the code dimension and enumerates scalings instead.
+stops at the code dimension and enumerates scalings instead.  When the code
+is all of F_p^k, every allowed orbit permutation normalises, and the search
+returns the normaliser in closed form without visiting a node.
 """
 
 from __future__ import annotations
@@ -93,10 +95,12 @@ class FoundGroup:
         )
         self.row_cells = support_partitions(inst.matrix)[-1]
         for g in norm_b(inst, self.row_cells):
-            self.add(g)  # verifies g; its orbit permutation is the identity
+            self.check(g)  # its orbit permutation is the identity
             self.gens.append(g)
 
-    def add(self, g: Permutation) -> bool:
+    def check(self, g: Permutation) -> Permutation:
+        """g's orbit permutation; raises InvariantViolation unless g lies
+        in the overgroup and normalises the group."""
         inst = self.inst
         try:
             w = xi_image(inst, g)
@@ -106,19 +110,23 @@ class FoundGroup:
             img = w.apply(row)  # a row mapped onto itself needs no test
             if img != row and member_row_space(img, inst.matrix) is None:
                 raise InvariantViolation("found element does not normalise the group")
-        if w.perm.is_identity() or self.index_chain.contains(w.perm):
+        return w.perm
+
+    def add(self, g: Permutation) -> bool:
+        pi = self.check(g)
+        if pi.is_identity() or self.index_chain.contains(pi):
             return False
         self.gens.append(g)
-        self.index_chain.extend(w.perm)
+        self.index_chain.extend(pi)
         return True
 
     def index_orbit(self, prefix_len: int, pt: int) -> set[int]:
         return self.index_chain.orbit_under_stabilizer(prefix_len, pt)
 
-    def order(self) -> int:
-        inst = self.inst
-        c = len(self.row_cells)
-        return inst.p**inst.k * (inst.p - 1) ** c * self.index_chain.order()
+    def order(self, index_order: int | None = None) -> int:
+        inst = self.inst  # index_order defaults to the index chain's order
+        index_order = index_order or self.index_chain.order()
+        return inst.p**inst.k * (inst.p - 1) ** len(self.row_cells) * index_order
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +362,8 @@ class _Search:
         kappa_group: PermGroup | None = None,
         sizes: tuple[int, ...] | None = None,
     ):
+        if kappa_group is not None and sizes is not None:
+            raise ValueError("give kappa_group or sizes, not both")
         self.inst = inst
         self.cfg = cfg
         self.method = method
@@ -396,6 +406,8 @@ class _Search:
     def run(self) -> NormalizerResult:
         inst, cfg = self.inst, self.cfg
         t0 = time.monotonic()
+        if inst.dual.s == 0:
+            return self._full_space(t0)
         doms = domains_init(inst, self.found, cfg, kappa_gate=self._kappa_allowed)
         if self.kappa_group is not None:
             for i in range(self.k):
@@ -404,14 +416,13 @@ class _Search:
         if sizes is not None:
             doms = [{j for j in d if sizes[j - 1] == n} for d, n in zip(doms, sizes)]
 
-        # the code (pivots 1..s) and, unless it is empty, its dual (pivots
-        # s+1..k): both have the monomial automorphisms the search seeks
+        # the code (pivots 1..s) and its dual (pivots s+1..k), not empty
+        # here: both have the monomial automorphisms the search seeks
         k, s = self.k, self.s
-        self.codes = [_Code(inst.matrix, range(1, s + 1), "prune_stabs", cfg)]
-        if inst.dual.s:
-            self.codes.append(
-                _Code(inst.dual, range(s + 1, k + 1), "prune_stabs_dual", cfg)
-            )
+        self.codes = [
+            _Code(inst.matrix, range(1, s + 1), "prune_stabs", cfg),
+            _Code(inst.dual, range(s + 1, k + 1), "prune_stabs_dual", cfg),
+        ]
 
         if self.method == "limitdepth":
             # the non-pivot columns, which scaled image columns must match
@@ -428,6 +439,32 @@ class _Search:
         gens = tuple(self.found.gens)
         self.stats["search_ms"] = int((time.monotonic() - t0) * 1000)
         return NormalizerResult(gens, self.found.order(), dict(self.stats), self.method)
+
+    def _full_space(self, t0: float) -> NormalizerResult:
+        """The code is all of F_p^k, so every allowed orbit permutation
+        normalises: the normaliser is norm_b and the lifts of generators of
+        the allowed group, kappa_group or the Young subgroup of sizes, and
+        its order is p^k (p-1)^c |allowed|."""
+        if self.kappa_group is not None:
+            perms, allowed = self.kappa_group.generators, self.kappa_group.order()
+        else:
+            classes: dict = {}
+            for i, n in enumerate(self.sizes or [1] * self.k, 1):
+                classes.setdefault(n, []).append(i)
+            perms, allowed = [], 1
+            for cls in classes.values():  # a transposition; for m >= 3, an m-cycle
+                allowed *= factorial(len(cls))
+                for cyc in (cls[:2], cls)[: len(cls) - 1]:
+                    perms.append(Permutation.from_cycles(self.k, [tuple(cyc)]))
+        gens = list(self.found.gens)
+        for pi in perms:
+            gens.append(affine_perm(self.inst, pi))
+            self.found.check(gens[-1])
+        self._tick(0)
+        self.stats["closed_form"] = 1
+        self.stats["search_ms"] = int((time.monotonic() - t0) * 1000)
+        order = self.found.order(allowed)
+        return NormalizerResult(tuple(gens), order, dict(self.stats), self.method)
 
     def _recurse(self, alpha, doms, im_stabs):
         """im_stabs holds, per entry of self.codes, the stabiliser code of

@@ -491,10 +491,19 @@ class TestNormalizerDihedral:
             return res
 
         monkeypatch.setattr(dihedral_module, "instance_normalizer", timed_block_search)
-        grp, _ = gen_instance(3, 6, 2, 0, dihedral=True)
-        inst = build_dihedral(grp, 3)
+        # neither code is all of F_p^k, so both phases search: rotations
+        # on a repetition block and three free orbits, signs that vary on
+        # the free orbits
+        rot = M(3, [[1, 1, 1, 0, 0, 0], [0, 0, 0, 1, 0, 0], [0, 0, 0, 0, 1, 0],
+                    [0, 0, 0, 0, 0, 1]])
+        signs = M(2, [[1, 1, 1, 1, 0, 1], [0, 0, 0, 1, 1, 0]])
+        inst = build_dihedral(dihedral_group_from_codes(3, rot, signs), 3)
+        assert inst.rot_inst.s == 4 < inst.k
         start = clock.now
         full = normalizer_dihedral(inst, SearchConfig(time_limit=1e9))
+        assert "blocks_closed_form" not in full.stats
+        assert "rotations_closed_form" not in full.stats
+        assert full.stats["blocks_nodes"] > 1 and full.stats["rotations_nodes"] > 1
         total = clock.now - start
         first = spans[0]
         second = total - first

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import sys
 from types import SimpleNamespace
@@ -711,6 +712,133 @@ class TestKnownOrders:
         assert grp.degree == 259
         res = normalizer_in_sym(grp, 7)
         assert res.order == sympy_order(res.generators)
+
+
+def cyclic_power(p, k):
+    """C_p^k on consecutive p-blocks, one p-cycle per block."""
+    n = p * k
+    return [P(n, tuple(range(b + 1, b + p + 1))) for b in range(0, n, p)]
+
+
+def dihedral_power(p, k):
+    """(D_p)^k on consecutive p-blocks: per block a rotation and the
+    reflection fixing the block's first point."""
+    n = p * k
+    gens = cyclic_power(p, k)
+    for b in range(0, n, p):
+        gens.append(P(n, *[(b + 1 + u, b + 1 + p - u) for u in range(1, (p + 1) // 2)]))
+    return gens
+
+
+def redundant_relabelled(rng, degree, gens):
+    """The same group on a redundant generating set, every generator's
+    product with a random other one added, shuffled, with every point
+    relabelled at random."""
+    gens = list(gens)
+    gens += [g * rng.choice(gens) for g in gens]
+    rng.shuffle(gens)
+    imgs = list(range(1, degree + 1))
+    rng.shuffle(imgs)
+    sigma = Permutation(imgs)
+    return PermGroup.from_gens(degree, [g.conj(sigma) for g in gens])
+
+
+def assert_closed_form(stats, prefixes=("",)):
+    for pre in prefixes:
+        assert stats[f"{pre}nodes"] == 0 and stats[f"{pre}closed_form"] == 1
+
+
+class TestFullSpace:
+    """When the code is all of F_p^k, every allowed orbit permutation
+    normalises and the search returns the normaliser in closed form,
+    visiting no node.  Known orders check it at large degree and the
+    brute-force oracle, by mutual membership, at degree <= 9."""
+
+    @pytest.mark.parametrize("method", ["full", "limitdepth"])
+    @pytest.mark.parametrize("p,k", [(3, 30), (37, 7), (2, 12)])
+    def test_cyclic_power(self, p, k, method):
+        # AGL(1, p) wr S_k, of order (p (p - 1))^k k!; C_37^7 has degree
+        # 259 and runs on the tuple backing
+        grp = redundant_relabelled(random.Random(p * k), p * k, cyclic_power(p, k))
+        res = normalizer_in_sym(grp, p, method)
+        assert res.order == (p * (p - 1)) ** k * math.factorial(k)
+        assert_closed_form(res.stats)
+
+    def test_dihedral_power(self):
+        # AGL(1, 3) wr S_20: the sign code and the rotation code are full
+        grp = redundant_relabelled(random.Random(20), 60, dihedral_power(3, 20))
+        res = normalizer_dihedral(build_dihedral(grp, 3))
+        assert res.order == 6**20 * math.factorial(20)
+        assert_closed_form(res.stats, ("blocks_", "rotations_"))
+
+    @pytest.mark.parametrize(
+        "p,rows,dihedral",
+        [
+            (2, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], False),
+            (3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], False),
+            (7, [[1]], False),
+            # two orbits moved together, two alone: the reduced code is
+            # F_2^3 with class sizes (2, 1, 1)
+            (2, [[1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], False),
+            (3, [[1, 0], [0, 1]], True),
+            (5, [[1]], True),
+            (7, [[1]], True),
+        ],
+    )
+    def test_same_group_as_oracle(self, p, rows, dihedral):
+        k = len(rows[0])  # for (D_p)^k only k is read
+        gens = dihedral_power(p, k) if dihedral else code_to_group(M(p, rows)).generators
+        grp = redundant_relabelled(random.Random(k), p * k, gens)
+        if dihedral:
+            res = normalizer_dihedral(build_dihedral(grp, p))
+            assert_closed_form(res.stats, ("blocks_", "rotations_"))
+        else:
+            res = normalizer_in_sym(grp, p)
+            assert_closed_form(res.stats)
+        got, ref = PermGroup.from_gens(grp.degree, res.generators), brute_normalizer(grp)
+        assert res.order == got.order() == ref.order()
+        assert all(ref.contains(g) for g in got.generators)
+        assert all(got.contains(g) for g in ref.generators)
+
+    def test_young_subgroup_of_class_sizes(self):
+        # classes of sizes 2, 2, 1, 1, 1 over F_3: the reduced code is F_3^5
+        # and the allowed orbit permutations keep the sizes, S_2 x S_3
+        rows = [[1, 1, 0, 0, 0, 0, 0], [0, 0, 1, 1, 0, 0, 0], [0, 0, 0, 0, 1, 0, 0],
+                [0, 0, 0, 0, 0, 1, 0], [0, 0, 0, 0, 0, 0, 1]]
+        grp = code_to_group(M(3, rows))
+        res = normalizer_in_sym(grp, 3)
+        assert_closed_form(res.stats)
+        # per class of m equal orbits: 3^m shifts, 2 common scalings, m!
+        # orders inside the class; then the classes of equal size permuted
+        assert res.order == (3**2 * 2 * 2) ** 2 * 2 * (3 * 2) ** 3 * math.factorial(3)
+        assert res.order == sympy_order(res.generators)
+
+    def test_time_limit_zero_raises(self):
+        with pytest.raises(SearchTimeout):
+            normalizer_in_sym(PermGroup.from_gens(12, cyclic_power(3, 4)), 3,
+                              cfg=SearchConfig(time_limit=0))
+        inst = build_dihedral(PermGroup.from_gens(12, dihedral_power(3, 4)), 3)
+        with pytest.raises(SearchTimeout):
+            normalizer_dihedral(inst, SearchConfig(time_limit=0))
+
+    def test_lifts_are_checked(self, monkeypatch):
+        # each lift goes through the found group's element test: one that
+        # does not permute the orbits raises, as a wrong leaf lift does
+        inst = build_instance(PermGroup.from_gens(9, cyclic_power(3, 3)), 3)
+        a, b = inst.orbit_cycles[0][0], inst.orbit_cycles[1][0]
+        real = search_module.affine_perm
+
+        def wrong_lift(inst, pi=None, **kwargs):  # norm_b's scalings stay
+            return real(inst, pi, **kwargs) if pi is None else P(9, (a, b))
+
+        monkeypatch.setattr(search_module, "affine_perm", wrong_lift)
+        with pytest.raises(InvariantViolation, match="outside the overgroup"):
+            full_search(inst)
+
+    def test_kappa_group_and_sizes_exclude_each_other(self):
+        inst = build_instance(PermGroup.from_gens(6, cyclic_power(3, 2)), 3)
+        with pytest.raises(ValueError, match="not both"):
+            full_search(inst, kappa_group=PermGroup.trivial(2), sizes=(1, 1))
 
 
 class TestRecognition:
