@@ -195,7 +195,7 @@ def normalizer_dihedral(
     rot, k = inst.rot_inst, inst.k
 
     # kappa, read off the sign-code normaliser: point 2i+1 goes to orbit
-    # pi(i+1)'s pair
+    # pi(i+1)'s pair, and the kernel is the 2^k swaps within the pairs
     pairs = [(2 * i + 1, 2 * i + 2) for i in range(k)]
     sign_code = instance_from_code(PrimeField(2), 2 * k, pairs, inst.signs)
     sub2 = instance_normalizer(sign_code, "full", cfg)
@@ -203,7 +203,7 @@ def normalizer_dihedral(
     induced = [
         Permutation([(g.image(a) + 1) // 2 for a, _ in pairs]) for g in sub2.generators
     ]
-    kappa_group = PermGroup.from_gens(k, induced)
+    kappa_group = PermGroup.from_gens(k, induced, known_order=sub2.order >> k)
 
     # rotation normaliser with orbit permutations in kappa
     if cfg.time_limit is not None:
@@ -221,7 +221,7 @@ def normalizer_dihedral(
             shift[j] = rot.point_exp[inst.alpha[j]] - rot.point_exp[pt]
         lifted.append(y * gamma_inv(rot, shift))
     group = PermGroup.from_gens(inst.degree, lifted + list(inst.group.generators))
-    verify_normalises(inst.group, group.generators)
+    verify_normalises(inst.group, group.generators, 2 ** len(inst.signs) * rot.p**rot.s)
     stats["nodes"] = stats.get("blocks_nodes", 0) + stats.get("rotations_nodes", 0)
     stats["verified_generators"] = len(group.generators)
     order = sub_p.order // inst.p ** (rot.k - rot.s)

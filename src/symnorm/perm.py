@@ -3,17 +3,21 @@
 Permutations are immutable image tuples acting on the right, so
 i^(gh) = (i^g)^h, and points are 1-based everywhere to match the text
 exchange formats.  Stabiliser chains give exact orders, membership tests
-and pointwise stabilisers; the construction is deterministic (no random
-choices) so search traces and regression tests are reproducible.
+and pointwise stabilisers.  A chain built against a known order is filled
+from a product-replacement walk with a fixed seed, and every other chain is
+built by deterministic Schreier-Sims, so search traces and regression
+tests are reproducible.
 """
 
 from __future__ import annotations
 
+import random
 import re
 from dataclasses import dataclass, field
 
 
 _PAD = bytes(range(256))
+_FILL_MISSES = 30  # trivial sifts in a row before a fill gives up
 
 
 class Permutation:
@@ -299,7 +303,7 @@ class _Level:
 
 
 class StabChain:
-    """Deterministic base-and-strong-generators chain.
+    """Base-and-strong-generators chain.
 
     base_prefix forces the leading base points (useful for pointwise
     stabiliser queries); further base points are the smallest moved points
@@ -307,9 +311,16 @@ class StabChain:
     once discovered, so verified Schreier generators stay verified and the
     construction never repeats work; extend() grows a built chain by one
     generator on the same terms.
+
+    Given the group's order, the chain is first filled with the residues
+    of random elements and is complete as soon as the product of its
+    orbit lengths reaches that order (every strong generator lies in the
+    group); if it does not get there, the deterministic build finishes it.
+    A wrong order thus either costs the full build or, if too small, leaves
+    a chain that may reject members, never one that accepts a non-member.
     """
 
-    def __init__(self, degree: int, generators, base_prefix=()):
+    def __init__(self, degree: int, generators, base_prefix=(), order=None):
         self.degree = degree
         self.base: list[int] = []
         self._levels: list[_Level] = []
@@ -321,7 +332,8 @@ class StabChain:
             if g.degree != degree:
                 raise ValueError("generator degree mismatch")
             self._place(g)
-        self._build()
+        if order is None or not self._fill(order):
+            self._build()
 
     def extend(self, g: Permutation):
         """Add g to the generators, keeping every check already made."""
@@ -384,6 +396,24 @@ class StabChain:
             h = h * lvl.transversal_inv[im]
         return h, len(self._levels)
 
+    def _fill(self, order: int) -> bool:
+        """Sift elements of a seeded product-replacement walk (with an
+        accumulator) and place their residues until the chain's order is
+        the given one; False after _FILL_MISSES trivial sifts in a row."""
+        gens = self._levels[0].gens if self._levels else []
+        state = (gens * 10)[: max(10, len(gens))]
+        rng, acc, misses = random.Random(0), self._ident, 0
+        while self.order() != order:
+            if misses == _FILL_MISSES or not state:
+                return False
+            i, j = rng.sample(range(len(state)), 2)
+            state[i] = state[i] * state[j]
+            acc = acc * state[i]
+            h, _ = self._sift(acc)
+            misses = misses + 1 if h.is_identity() else 0
+            self._place(h)
+        return True
+
     def _build(self):
         i = len(self._levels) - 1
         while i >= 0:
@@ -441,14 +471,16 @@ class StabChain:
 
 @dataclass(frozen=True, eq=False)
 class PermGroup:
-    """A permutation group given by generators on {1..degree}."""
+    """A permutation group given by generators on {1..degree}, and its
+    order where a closed form gives it."""
 
     degree: int
     generators: tuple[Permutation, ...]
+    known_order: int | None = None
     _chain_cache: list = field(default_factory=list, repr=False)
 
     @classmethod
-    def from_gens(cls, degree: int, gens) -> "PermGroup":
+    def from_gens(cls, degree: int, gens, known_order=None) -> "PermGroup":
         filtered = []
         seen = set()
         for g in gens:
@@ -457,7 +489,7 @@ class PermGroup:
             if not g.is_identity() and g.images not in seen:
                 seen.add(g.images)
                 filtered.append(g)
-        return cls(degree, tuple(filtered))
+        return cls(degree, tuple(filtered), known_order)
 
     @classmethod
     def trivial(cls, degree: int) -> "PermGroup":
@@ -469,7 +501,7 @@ class PermGroup:
         return self._chain_cache[0]
 
     def order(self) -> int:
-        return self.chain().order()
+        return self.known_order or self.chain().order()
 
     def contains(self, g: Permutation) -> bool:
         return self.chain().contains(g)

@@ -627,17 +627,22 @@ def limit_depth_search(
 # the top-level pipeline
 
 
-def verify_normalises(H: PermGroup, gens) -> None:
+def verify_normalises(H: PermGroup, gens, order: int) -> None:
     """Raise InvariantViolation unless every g in gens conjugates each
-    generator of H into H (membership through H's chain).  Generators of
-    H itself are skipped: they lie in H, so they normalise it."""
-    chain = H.chain()
+    generator of H into H.  Generators of H itself are skipped: they lie in
+    H, so they normalise it.  Membership goes through a chain of H filled
+    up to order, |H| as recognition reads it: a sift to the identity proves
+    membership whatever that order, and a conjugate that fails to sift is
+    checked again against H's deterministic chain before anything is
+    raised, so the check does not depend on recognition."""
+    chain = StabChain(H.degree, H.generators, order=order)
     own = set(H.generators)
     for g in gens:
         if g in own:
             continue
         for x in H.generators:
-            if not chain.contains(x.conj(g)):
+            y = x.conj(g)
+            if not chain.contains(y) and not H.contains(y):
                 raise InvariantViolation("result generator fails to normalise the input")
 
 
@@ -720,7 +725,8 @@ def normalizer_in_sym(
     of every returned generator by conjugation."""
     if method not in ("full", "limitdepth"):
         raise ValueError(f"unknown method {method!r}")
-    res = instance_normalizer(build_instance(H, p), method, cfg or SearchConfig())
-    verify_normalises(H, res.generators)
+    inst = build_instance(H, p)
+    res = instance_normalizer(inst, method, cfg or SearchConfig())
+    verify_normalises(H, res.generators, p**inst.s)
     stats = dict(res.stats, verified_generators=len(res.generators))
     return NormalizerResult(res.generators, res.order, stats, method)

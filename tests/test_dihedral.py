@@ -379,6 +379,13 @@ class TestKappa:
             big += grp.degree > 256
         assert moved >= 20 and big == 2
 
+    def test_closed_form_order(self, monkeypatch):
+        # |kappa| = |N_sign| / 2^k, the kernel being the swaps within the
+        # pairs, against the order of a chain over kappa's generators
+        for p, grp in self.groups():
+            kappa = sign_code_kappa(build_dihedral(grp, p), monkeypatch)
+            assert kappa.known_order == kappa.chain().order()
+
     def test_kappa_too_large_fails_the_final_check(self, monkeypatch):
         # every orbit permutation allowed: the rotation search then finds
         # elements that do not normalise the group, and the check of the
@@ -401,9 +408,9 @@ class TestKappa:
         checked = []
         verify = search_module.verify_normalises
 
-        def counted(H, gens):
+        def counted(H, gens, order):
             checked.append(H)
-            return verify(H, gens)
+            return verify(H, gens, order)
 
         monkeypatch.setattr(dihedral_module, "verify_normalises", counted)
         monkeypatch.setattr(search_module, "verify_normalises", counted)

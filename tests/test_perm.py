@@ -253,6 +253,102 @@ class TestStabChainExtend:
             StabChain(4, ()).extend(P(5, (1, 2)))
 
 
+def random_word(rng, degree, gens, length=8):
+    g = Permutation.identity(degree)
+    for _ in range(length):
+        g = g * rng.choice(gens)
+    return g
+
+
+def counted_builds(monkeypatch) -> list:
+    """Record every deterministic Schreier-Sims build a chain runs."""
+    builds = []
+    real = StabChain._build
+
+    def build(chain):
+        builds.append(chain)
+        return real(chain)
+
+    monkeypatch.setattr(StabChain, "_build", build)
+    return builds
+
+
+class TestKnownOrderChain:
+    """A chain filled up to the group's known order answers like the
+    deterministic chain, without a Schreier-Sims build; a claimed order it
+    cannot reach sends it to the full build."""
+
+    @staticmethod
+    def groups():
+        from symnorm.cli import gen_instance
+
+        for p, k, dim, seed, dihedral in [(3, 10, 2, 0, False), (5, 8, 3, 1, False),
+                                          (7, 37, 3, 0, False), (3, 8, 3, 1, True),
+                                          (5, 6, 2, 0, True), (7, 6, 2, 2, True)]:
+            yield gen_instance(p, k, dim, seed, dihedral=dihedral)[0]
+        yield PermGroup.from_gens(12, [P(12, tuple(range(1, 13))), P(12, (1, 2))])
+        # S_8 on points past the byte range
+        pts = [3, 40, 257, 120, 299, 7, 300, 200]
+        yield PermGroup.from_gens(300, [P(300, tuple(pts)), P(300, (pts[0], pts[1]))])
+
+    def test_same_order_and_membership(self, monkeypatch):
+        rng = random.Random(7)
+        backings = set()
+        for grp in self.groups():
+            n, gens = grp.degree, grp.generators
+            ref = StabChain(n, gens)
+            builds = counted_builds(monkeypatch)
+            filled = StabChain(n, gens, order=ref.order())
+            assert builds == [] and filled.order() == ref.order()
+            monkeypatch.undo()
+            support = grp.support()
+            for _ in range(6):
+                g = random_word(rng, n, gens)
+                a, b = rng.sample(support, 2)
+                for h in (g, g * P(n, (a, b)), P(n, tuple(rng.sample(support, 3)))):
+                    assert filled.contains(h) == ref.contains(h)
+            backings.add(gens[0]._b is None)
+        assert backings == {False, True}
+
+    def test_dihedral_at_degree_259(self, monkeypatch):
+        # the deterministic chain of this group takes seconds: check the
+        # fill against recognition's order and certain (non-)members
+        from symnorm.cli import gen_instance
+        from symnorm.dihedral import build_dihedral
+
+        grp, _ = gen_instance(7, 37, 3, 0, dihedral=True)
+        inst = build_dihedral(grp, 7)
+        order = 2 ** len(inst.signs) * 7**inst.rot_inst.s
+        builds = counted_builds(monkeypatch)
+        filled = StabChain(259, grp.generators, order=order)
+        assert builds == [] and filled.order() == order
+        rng = random.Random(3)
+        for _ in range(10):
+            assert filled.contains(random_word(rng, 259, grp.generators, 20))
+        # a transposition on one orbit: not in the dihedral group of order 14
+        a, b = inst.orbits[-1][:2]
+        assert not filled.contains(P(259, (a, b)))
+
+    @pytest.mark.parametrize("degree", [4, 9, 300])
+    def test_unreachable_order_falls_back(self, monkeypatch, degree):
+        # S_4 on points 1..3 and the last point: an order too large, and
+        # one too small that no product of orbit lengths equals
+        gens = [P(degree, (1, 2)), P(degree, (1, 2, 3, degree))]
+        ref = StabChain(degree, gens)
+        for claimed in (48, 5, 23):
+            builds = counted_builds(monkeypatch)
+            chain = StabChain(degree, gens, order=claimed)
+            assert len(builds) == 1 and chain.order() == 24
+            assert all(chain.contains(h) == ref.contains(h) for h in
+                       [P(degree, (1, degree)), P(degree, (2, 3)), P(degree, (degree - 1, degree))])
+            monkeypatch.undo()
+
+    def test_known_order_of_group(self):
+        grp = PermGroup.from_gens(4, [P(4, (1, 2)), P(4, (1, 2, 3, 4))], known_order=24)
+        assert grp.order() == grp.chain().order() == 24
+        assert PermGroup.from_gens(3, [P(3, (1, 2))]).known_order is None
+
+
 class TestGroupText:
     def test_roundtrip(self):
         gens = [P(6, (1, 2), (5, 6)), P(6, (3, 4), (5, 6))]

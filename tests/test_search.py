@@ -714,6 +714,55 @@ class TestKnownOrders:
         assert res.order == sympy_order(res.generators)
 
 
+def repetition_rows(k):
+    return [[1] * k]
+
+
+def sum_zero_rows(k):
+    """The dual of the repetition code: e_i - e_k for i < k."""
+    return [[int(j == i) - int(j == k - 1) for j in range(k)] for i in range(k - 1)]
+
+
+def simplex_rows(m):
+    """The binary simplex code: every non-zero vector of F_2^m a column."""
+    return [[(v >> i) & 1 for v in range(1, 2**m)] for i in range(m)]
+
+
+def gl2_order(m):
+    return math.prod(2**m - 2**i for i in range(m))
+
+
+KNOWN_FAMILIES = [
+    # the repetition code and its dual: p^k (p - 1) k!
+    *[(f"repetition {p},{k}", p, repetition_rows(k), p**k * (p - 1) * math.factorial(k))
+      for p, k in [(3, 8), (5, 6), (2, 10), (37, 7)]],
+    *[(f"sum-zero {p},{k}", p, sum_zero_rows(k), p**k * (p - 1) * math.factorial(k))
+      for p, k in [(3, 8), (5, 6), (2, 10)]],
+    # binary simplex codes: 2^k |GL(m, 2)|, k = 2^m - 1
+    *[(f"simplex {m}", 2, simplex_rows(m), 2 ** (2**m - 1) * gl2_order(m))
+      for m in (2, 3, 4, 5)],
+]
+
+
+class TestKnownOrderFamilies:
+    """Codes whose normaliser orders have closed forms, on redundant,
+    shuffled generating sets with every point relabelled; the repetition
+    code over F_37 with k = 7 has degree 259 (tuple backing).  The
+    depth-limited method runs where it takes under a second: on the
+    simplex codes above m = 3 it enumerates thousands of nodes."""
+
+    @pytest.mark.parametrize("name,p,rows,order", KNOWN_FAMILIES,
+                             ids=[case[0] for case in KNOWN_FAMILIES])
+    def test_order(self, name, p, rows, order):
+        k = len(rows[0])
+        grp = redundant_relabelled(random.Random(k), p * k, code_to_group(M(p, rows)).generators)
+        methods = ["full"] if name in ("simplex 4", "simplex 5") else ["full", "limitdepth"]
+        for method in methods:
+            res = normalizer_in_sym(grp, p, method)
+            assert res.order == order
+        assert res.order == sympy_order(res.generators)
+
+
 def cyclic_power(p, k):
     """C_p^k on consecutive p-blocks, one p-cycle per block."""
     n = p * k
@@ -979,12 +1028,48 @@ class TestVerification:
             return real(chain, g)
 
         monkeypatch.setattr(StabChain, "contains", counting)
-        verify_normalises(H, H.generators)
+        verify_normalises(H, H.generators, 4)
         assert sifts == []
-        verify_normalises(H, [P(6, (1, 3), (2, 4))])
+        verify_normalises(H, [P(6, (1, 3), (2, 4))], 4)
         assert len(sifts) == len(H.generators)
         with pytest.raises(InvariantViolation):
-            verify_normalises(H, list(H.generators) + [P(6, (1, 5))])
+            verify_normalises(H, list(H.generators) + [P(6, (1, 5))], 4)
+
+    def test_too_small_order_rechecked(self, monkeypatch):
+        # a claimed |H| below the true one stops the fill early; conjugates
+        # that fail to sift through that chain are accepted by H's full
+        # chain, so a correct normaliser still passes
+        cases = [(PermGroup.from_gens(3, [P(3, (2, 3)), P(3, (1, 2, 3))]), [P(3, (1, 2))])]
+        for p, k, dim, seed, dihedral in [(3, 6, 2, 0, True), (5, 6, 3, 0, False)]:
+            grp, _ = gen_instance(p, k, dim, seed, dihedral=dihedral)
+            res = (normalizer_dihedral(build_dihedral(grp, p)) if dihedral
+                   else normalizer_in_sym(grp, p))
+            cases.append((grp, res.generators))
+        for H, gens in cases:
+            # the order of the chain on H's generators alone, before any fill
+            with monkeypatch.context() as patch:
+                patch.setattr(StabChain, "_fill", lambda chain, order: True)
+                claimed = StabChain(H.degree, H.generators, order=1).order()
+            assert claimed < H.order()
+            rechecks = []
+            real = PermGroup.contains
+
+            def counting(grp, g):
+                rechecks.append(g)
+                return real(grp, g)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(PermGroup, "contains", counting)
+                verify_normalises(H, gens, claimed)
+            assert rechecks
+
+    def test_wrong_order_never_accepts(self):
+        # whatever order is claimed, a non-normalising generator raises
+        H = gen_instance(3, 6, 2, 0)[0]
+        bad = P(H.degree, (1, 2))
+        for claimed in (1, 3, H.order(), 2 * H.order()):
+            with pytest.raises(InvariantViolation):
+                verify_normalises(H, [bad], claimed)
 
     def test_found_group_rejects_non_normalising(self):
         inst = build_instance(code_to_group(M(3, [[1, 0, 1], [0, 1, 1]])), 3)
