@@ -92,7 +92,7 @@ class FpMatrix:
         for r in self.rows:
             if len(r) != self.k:
                 raise ValueError("ragged rows")
-            if any(not (0 <= x < self.p) for x in r):
+            if min(r) < 0 or max(r) >= self.p:
                 raise ValueError("entries must be canonical residues")
 
     @classmethod

@@ -1,12 +1,13 @@
 """Permutations of {1..n} and permutation groups given by generators.
 
-Permutations are immutable image tuples acting on the right, so
-i^(gh) = (i^g)^h, and points are 1-based everywhere to match the text
-exchange formats.  Stabiliser chains give exact orders, membership tests
-and pointwise stabilisers.  A chain built against a known order is filled
-from a product-replacement walk with a fixed seed, and every other chain is
-built by deterministic Schreier-Sims, so search traces and regression
-tests are reproducible.
+Permutations are immutable lookup tables acting on the right, so
+i^(gh) = (i^g)^h: a byte table up to degree 256 and a numpy index table
+above.  Points are 1-based everywhere to match the text exchange formats.
+Stabiliser chains give exact orders, membership tests and pointwise
+stabilisers.  A chain built against a known order is filled from a
+product-replacement walk with a fixed seed, and every other chain is built
+by deterministic Schreier-Sims, so search traces and regression tests are
+reproducible.
 """
 
 from __future__ import annotations
@@ -14,62 +15,72 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass, field
+from functools import lru_cache
+
+import numpy as np
 
 
 _PAD = bytes(range(256))
 _FILL_MISSES = 30  # trivial sifts in a row before a fill gives up
 
 
+def _index_dtype(n: int):
+    """The dtype of the index table of a permutation of degree n > 256."""
+    return np.uint16 if n <= 65536 else np.uint32
+
+
+@lru_cache(maxsize=8)
+def _iota(n: int) -> tuple[np.ndarray, bytes]:
+    """The index table of the identity of degree n > 256, and its bytes."""
+    table = np.arange(n, dtype=_index_dtype(n))
+    table.flags.writeable = False
+    return table, table.tobytes()
+
+
 class Permutation:
     """A permutation of {1..n}; images[i-1] is the image of point i.
 
-    Degrees up to 256 are backed by a 256-byte lookup table so composition
-    runs through bytes.translate; larger degrees fall back to tuples.
+    Degrees up to 256 are backed by a 256-byte lookup table, so composition
+    runs through bytes.translate.  Larger degrees are backed by a 0-based
+    numpy index table, uint16 up to degree 65,536 and uint32 above; the
+    dtype depends only on the degree, so the table's bytes are a canonical
+    key.  Tables are never written after construction.
     """
 
     __slots__ = ("_n", "_t", "_b")
 
     def __init__(self, images):
         images = tuple(images)
-        if sorted(images) != list(range(1, len(images) + 1)):
+        n = len(images)
+        if sorted(images) != list(range(1, n + 1)):
             raise ValueError("not a permutation of {1..n}")
-        object.__setattr__(self, "_n", len(images))
+        object.__setattr__(self, "_n", n)
         object.__setattr__(self, "_t", images)
         object.__setattr__(
             self,
             "_b",
-            bytes(x - 1 for x in images) + _PAD[len(images) :]
-            if len(images) <= 256
-            else None,
+            bytes(x - 1 for x in images) + _PAD[n:]
+            if n <= 256
+            else (np.array(images, dtype=np.int64) - 1).astype(_index_dtype(n)),
         )
 
     @classmethod
-    def _from_table(cls, n: int, table: bytes) -> "Permutation":
+    def _from_table(cls, n: int, table) -> "Permutation":
         self = object.__new__(cls)
         object.__setattr__(self, "_n", n)
         object.__setattr__(self, "_t", None)
         object.__setattr__(self, "_b", table)
         return self
 
-    @classmethod
-    def _from_images_unchecked(cls, images: tuple) -> "Permutation":
-        self = object.__new__(cls)
-        object.__setattr__(self, "_n", len(images))
-        object.__setattr__(self, "_t", images)
-        object.__setattr__(
-            self,
-            "_b",
-            bytes(x - 1 for x in images) + _PAD[len(images) :]
-            if len(images) <= 256
-            else None,
-        )
-        return self
-
     @property
     def images(self) -> tuple:
         if self._t is None:
             object.__setattr__(
-                self, "_t", tuple(x + 1 for x in self._b[: self._n])
+                self,
+                "_t",
+                tuple(x + 1 for x in self._b[: self._n])
+                if self._n <= 256
+                else tuple((self._b.astype(np.int64) + 1).tolist()),
             )
         return self._t
 
@@ -100,14 +111,14 @@ class Permutation:
         return self._n
 
     def image(self, i: int) -> int:
-        if self._b is not None:
+        if self._n <= 256:
             return self._b[i - 1] + 1
-        return self._t[i - 1]
+        return self._b.item(i - 1) + 1
 
     def is_identity(self) -> bool:
-        if self._b is not None:
+        if self._n <= 256:
             return self._b == _PAD
-        return all(x == i for i, x in enumerate(self._t, start=1))
+        return self._b.tobytes() == _iota(self._n)[1]
 
     def support(self) -> tuple[int, ...]:
         return tuple(i for i, x in enumerate(self.images, start=1) if x != i)
@@ -115,14 +126,14 @@ class Permutation:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Permutation) or self._n != other._n:
             return False
-        if self._b is not None:
+        if self._n <= 256:
             return self._b == other._b
-        return self.images == other.images
+        return self._b.tobytes() == other._b.tobytes()
 
     def __hash__(self) -> int:
-        if self._b is not None:
+        if self._n <= 256:
             return hash((self._n, self._b))
-        return hash((self._n, self.images))
+        return hash((self._n, self._b.tobytes()))
 
     def __setattr__(self, *a):  # immutability
         raise AttributeError("Permutation is immutable")
@@ -133,24 +144,20 @@ class Permutation:
         """Right-action composition: apply self first, then other."""
         if self._n != other._n:
             raise ValueError("degree mismatch")
-        if self._b is not None:
+        if self._n <= 256:
             return Permutation._from_table(self._n, self._b.translate(other._b))
-        oi = other._t
-        return Permutation._from_images_unchecked(
-            tuple(oi[x - 1] for x in self._t)
-        )
+        return Permutation._from_table(self._n, other._b.take(self._b))
 
     def inverse(self) -> "Permutation":
-        if self._b is not None:
+        b = self._b
+        if self._n <= 256:
             inv = bytearray(_PAD)
-            b = self._b
             for i in range(self._n):
                 inv[b[i]] = i
             return Permutation._from_table(self._n, bytes(inv))
-        inv = [0] * self._n
-        for i, x in enumerate(self._t, start=1):
-            inv[x - 1] = i
-        return Permutation._from_images_unchecked(tuple(inv))
+        inv = np.empty_like(b)
+        inv[b] = _iota(self._n)[0]
+        return Permutation._from_table(self._n, inv)
 
     def __pow__(self, e: int) -> "Permutation":
         if e < 0:
@@ -168,15 +175,13 @@ class Permutation:
         """self conjugated by s, i.e. s^-1 * self * s."""
         if self._n != s._n:
             raise ValueError("degree mismatch")
-        if self._b is not None and s._b is not None:
+        if self._n <= 256:
             return Permutation._from_table(
                 self._n, s.inverse()._b.translate(self._b).translate(s._b)
             )
-        si, xi = s.images, self.images
-        out = [0] * self._n
-        for i in range(1, self._n + 1):
-            out[si[i - 1] - 1] = si[xi[i - 1] - 1]
-        return Permutation._from_images_unchecked(tuple(out))
+        out = np.empty_like(s._b)  # the image of s(i) is s(self(i))
+        out[s._b] = s._b.take(self._b)
+        return Permutation._from_table(self._n, out)
 
     # structure --------------------------------------------------------
 
@@ -486,8 +491,8 @@ class PermGroup:
         for g in gens:
             if g.degree != degree:
                 raise ValueError("generator degree mismatch")
-            if not g.is_identity() and g.images not in seen:
-                seen.add(g.images)
+            if not g.is_identity() and g not in seen:
+                seen.add(g)
                 filtered.append(g)
         return cls(degree, tuple(filtered), known_order)
 

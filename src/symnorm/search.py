@@ -339,14 +339,27 @@ def all_diff_refiner(doms) -> list[set[int]] | None:
 
 
 class _Code:
-    """A code the search prunes with: its dependent sets, and per depth d
-    the stabiliser code of columns 1..d with its column class sizes.
-    counter names the stats entry of the branches its stabilisers cut."""
+    """A code the search prunes with: per depth d, the dependent sets that
+    first have a single unassigned member there, and the stabiliser code of
+    columns 1..d with its column class sizes.  counter names the stats
+    entry of the branches its stabilisers cut.
+
+    Orbit d is assigned at depth d, so a dependent set first has one
+    unassigned member at its second-largest member, and the rule starts at
+    depth 1.  Its filter reads only the assigned members' images, fixed in
+    the whole subtree, and every child inherits the narrowed domain, so the
+    set is checked at that depth only.  The set (1,) is assigned before
+    the rule starts, so it is never checked."""
 
     def __init__(self, m: FpMatrix, pivots, counter: str, cfg: SearchConfig):
         self.matrix = m
         self.counter = counter
-        self.ld_sets = build_ld_sets(m, pivots) if cfg.use_lds else []
+        self.ld_sets: list[list[tuple[int, ...]]] = [[] for _ in range(m.k + 1)]
+        for lds in build_ld_sets(m, pivots) if cfg.use_lds else []:
+            *rest, last = sorted(lds)
+            depth = rest[-1] if rest else 1
+            if depth < last:
+                self.ld_sets[depth].append(lds)
         self.stabs = [m]
         for dpth in range(1, m.k + 1):
             self.stabs.append(eliminate_column(self.stabs[-1], dpth))
@@ -487,9 +500,9 @@ class _Search:
                     self.stats["prune_minimality"] += 1
                     return None
 
-            if cfg.use_lds:
-                for code in self.codes:
-                    doms = check_lds(code.matrix, code.ld_sets, alpha, doms)
+            for code in self.codes:
+                if code.ld_sets[d]:
+                    doms = check_lds(code.matrix, code.ld_sets[d], alpha, doms)
 
             if cfg.use_stabs:
                 for code, im_stab in zip(self.codes, im_stabs):

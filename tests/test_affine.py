@@ -1,5 +1,6 @@
 """Property tests for the coordinates (pi, scale, shift) of the overgroup
-L = B K, on the bytes backing (degree <= 256) and the tuple backing."""
+L = B K, on the bytes backing (degree <= 256) and the index-table backing
+above it (the instance keyed "tuple", after the backing it replaced)."""
 
 import random
 

@@ -554,7 +554,7 @@ class TestClosedOrders:
 class TestClosedFormOrder:
     # the closed-form order against sympy's Schreier-Sims on the result
     # generators, for instances relabelled by a random permutation of all
-    # points; (13, 20, 3) has degree 260 and runs on the tuple backing.
+    # points; (13, 20, 3) has degree 260 and runs on the index-table backing.
     # gen_instance's reflections mostly make the rotation code all of F_p^k;
     # one reflection of every orbit keeps it at dimension dim < k
     @pytest.mark.parametrize("one_reflection", [False, True])

@@ -167,7 +167,7 @@ CYCLIC_REJECTIONS = [
 
 
 class TestRecognition:
-    # gen_instance cells: bytes and tuple backing, with repeated columns
+    # gen_instance cells: bytes and index-table backing, with repeated columns
     CELLS = [(2, 8, 3), (3, 10, 4), (5, 8, 2), (7, 9, 5), (7, 37, 3)]
 
     def test_generating_set_does_not_matter(self):
@@ -571,7 +571,7 @@ class TestInstanceFromCode:
     build_instance of the restricted and the dual permutation groups, field
     by field."""
 
-    # (p, k, dim): bytes backing (degree <= 256) and tuple backing (259)
+    # (p, k, dim): bytes backing (degree <= 256) and index-table backing (259)
     CELLS = [(2, 10, 3), (3, 10, 2), (3, 8, 6), (5, 8, 2), (5, 8, 6), (7, 9, 5),
              (7, 37, 3)]
 

@@ -81,6 +81,16 @@ class TestPrimeField:
             assert {pow(f.t, e, p) for e in range(p - 1)} == set(range(1, p))
 
 
+class TestFpMatrixEntries:
+    def test_entries_checked_on_every_row(self):
+        assert FpMatrix(5, 3, ((0, 4, 2), (4, 0, 0))).rows[1] == (4, 0, 0)
+        for bad in ((0, 5, 1), (-1, 0, 0), (0, 0, 7)):
+            with pytest.raises(ValueError, match="canonical residues"):
+                FpMatrix(5, 3, ((1, 0, 0), bad))
+        with pytest.raises(ValueError, match="ragged"):
+            FpMatrix(5, 3, ((1, 0, 0), (1, 0)))
+
+
 class TestRref:
     def test_already_reduced(self):
         m = M(2, [[1, 0, 1], [0, 1, 1]])

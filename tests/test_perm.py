@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from symnorm.perm import (
@@ -226,8 +227,56 @@ class TestStabChainExtend:
             self.check_growth(rng, degree, scattered_gens(rng, degree, 4))
 
     def test_backings(self):
-        assert P(256, (1, 256))._b is not None
-        assert P(257, (1, 257))._b is None
+        assert isinstance(P(256, (1, 256))._b, bytes)
+        assert P(257, (1, 257))._b.dtype == np.uint16
+        # the largest image fits uint16 only 0-based; the inverse's images
+        # are read off its table
+        table = P(65536, (1, 65536)).inverse()
+        got = (table._b.dtype, table.images[0], table.image(1))
+        assert got == (np.uint16, 65536, 65536)
+        assert P(65537, (1, 65537))._b.dtype == np.uint32
+
+    def test_degree_70000(self):
+        # past 65,536 points the index table is uint32
+        n = 70_000
+        g = P(n, (1, n), (2, 65_537, 69_999))
+        h = P(n, (n, 65_536, 3))
+        assert g._b.dtype == np.uint32
+        gh = g * h
+        assert gh == P(n, (1, 65_536, 3, n), (2, 65_537, 69_999))
+        assert gh.image(1) == 65_536 and gh.image(n) == 1 and gh.image(3) == n
+        assert gh.support() == (1, 2, 3, 65_536, 65_537, 69_999, n)
+        assert g.inverse() == P(n, (1, n), (2, 69_999, 65_537))
+        assert (g * g.inverse()).is_identity() and not g.is_identity()
+        assert (g.inverse() * g) == Permutation.identity(n)
+        assert g.conj(h) == h.inverse() * g * h == P(n, (1, 65_536), (2, 65_537, 69_999))
+        imgs = gh.images
+        assert len(imgs) == n and imgs[0] == 65_536 and imgs[n - 1] == 1
+        assert all(type(x) is int for x in imgs[:3]) and Permutation(imgs) == gh
+        assert sorted(imgs) == list(range(1, n + 1))
+
+    @pytest.mark.parametrize("degree", [12, 256, 257, 300])
+    def test_five_ways_to_one_permutation(self, degree):
+        # the chain's _known set, verify_normalises' own set and from_gens
+        # rely on computed and constructed copies comparing and hashing equal
+        cycles = [(1, degree, 3), (2, degree - 1)]
+        t = P(degree, (1, 2, degree))
+        ident = Permutation.identity(degree)
+        images = list(range(1, degree + 1))
+        for cyc in cycles:
+            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+                images[a - 1] = b
+        ways = [
+            Permutation(images),
+            Permutation.from_cycles(degree, cycles),
+            t.inverse() * (t * Permutation(images)),
+            Permutation(images).inverse().inverse(),
+            Permutation(images).conj(ident),
+        ]
+        assert len(set(ways)) == 1 and len({hash(g) for g in ways}) == 1
+        assert all(g == ways[0] and g.images == tuple(images) for g in ways)
+        grp = PermGroup.from_gens(degree, ways + [ident, t])
+        assert grp.generators == (ways[0], t)
 
     def test_repeated_and_identity_generators(self):
         g = P(300, (1, 299, 300))
@@ -307,7 +356,7 @@ class TestKnownOrderChain:
                 a, b = rng.sample(support, 2)
                 for h in (g, g * P(n, (a, b)), P(n, tuple(rng.sample(support, 3)))):
                     assert filled.contains(h) == ref.contains(h)
-            backings.add(gens[0]._b is None)
+            backings.add(isinstance(gens[0]._b, bytes))
         assert backings == {False, True}
 
     def test_dihedral_at_degree_259(self, monkeypatch):
@@ -362,8 +411,9 @@ class TestGroupText:
 
 
 if HAVE_ORACLES:
-    # degree ranges of the two backings: a byte table up to 256, tuples above
-    BACKINGS = {"bytes": (1, 256), "tuple": (257, 300)}
+    # degree ranges of the two backings: a byte table up to 256, a numpy
+    # index table above
+    BACKINGS = {"bytes": (1, 256), "table": (257, 300)}
 
     @st.composite
     def perm_pairs(draw, backing):
@@ -371,7 +421,7 @@ if HAVE_ORACLES:
         pts = list(range(1, draw(st.integers(lo, hi)) + 1))
         g = Permutation(draw(st.permutations(pts)))
         h = Permutation(draw(st.permutations(pts)))
-        assert (g._b is not None) == (backing == "bytes")
+        assert isinstance(g._b, bytes) == (backing == "bytes")
         return g, h
 
     def to_sympy(g):
@@ -405,8 +455,8 @@ if HAVE_ORACLES:
         @settings(max_examples=40, deadline=None)
         @given(data=st.data())
         def test_computed_equals_constructed(self, backing, data):
-            # products come from _from_table (bytes) or unchecked images
-            # (tuples); they must compare and hash like a constructed copy
+            # products come from _from_table on either backing; they must
+            # compare and hash like a constructed copy
             g, h = data.draw(perm_pairs(backing))
             for x in (g * h, g.inverse(), g.conj(h), g**-3):
                 y = Permutation(x.images)

@@ -227,6 +227,92 @@ class TestCheckLds:
         assert doms == [{1, 2, 3, 4}] * 3 + [{2, 4}]
 
 
+# e_2 lies in this code over F_5, so coordinate 2 is a direct factor: dual
+# column 2 is zero and the dual's dependent set of column 2 is (2,)
+DIRECT_FACTOR = M(5, [[1, 0, 0, 1, 1, 1, 1], [0, 1, 0, 0, 0, 0, 0], [0, 0, 1, 1, 2, 3, 4]])
+
+
+class TestLdDepthIndex:
+    """The search hands check_lds only the dependent sets that first have a
+    single unassigned member at the node's depth; the domains come out as
+    the scan over every set gives them, and the counters do not move."""
+
+    def test_index(self):
+        cfg = SearchConfig()
+        dual = dual_matrix(DIRECT_FACTOR)
+        code = search_module._Code(dual, range(4, 8), "prune_stabs_dual", cfg)
+        assert build_ld_sets(dual, range(4, 8)) == [(1, 4, 5, 6, 7), (2,), (3, 4, 5, 6, 7)]
+        assert code.ld_sets == [[], [(2,)], [], [], [], [], [(1, 4, 5, 6, 7), (3, 4, 5, 6, 7)], []]
+        # column 1 is zero: its set (1,) is assigned before the rule starts
+        m = M(2, [[0, 1, 0], [0, 0, 1]])
+        assert build_ld_sets(m, (2, 3)) == [(1,)]
+        assert search_module._Code(m, (2, 3), "x", cfg).ld_sets == [[]] * 4
+        assert search_module._Code(dual, range(4, 8), "x", SearchConfig(use_lds=False)).ld_sets == [[]] * 8
+
+    @staticmethod
+    def groups():
+        for p, dim in ((5, 4), (5, 6), (5, 8), (2, 6), (3, 6)):  # the grid cells
+            yield gen_instance(p, 20, dim, 0)[0], p
+        yield gen_instance(7, 37, 3, 0)[0], 7  # the wide cell
+        yield code_to_group(DIRECT_FACTOR), 5
+
+    def test_same_domains_as_all_sets(self, monkeypatch):
+        real = search_module._Search._recurse
+        seen = {"nodes": 0, "singletons": 0}
+
+        def recurse(search, alpha, doms, im_stabs):
+            d = len(alpha)
+            pivots = (range(1, search.s + 1), range(search.s + 1, search.k + 1))
+            if 1 <= d < search.k:
+                for code, piv in zip(search.codes, pivots):
+                    every = build_ld_sets(code.matrix, piv)
+                    got = check_lds(code.matrix, code.ld_sets[d], alpha, doms)
+                    assert got == check_lds(code.matrix, every, alpha, doms)
+                    seen["singletons"] += any(len(lds) == 1 for lds in code.ld_sets[d])
+                seen["nodes"] += 1
+            return real(search, alpha, doms, im_stabs)
+
+        monkeypatch.setattr(search_module._Search, "_recurse", recurse)
+        for grp, p in self.groups():
+            for method in ("full", "limitdepth"):
+                normalizer_in_sym(grp, p, method)
+        assert seen["nodes"] > 300 and seen["singletons"] > 0
+
+    # node and prune counters of cli.compute before the index was added
+    COUNTERS = {
+        (5, 20, 4, "full"): {"nodes": 21, "prune_stabs": 2},
+        (5, 20, 4, "limitdepth"): {"nodes": 71, "prune_stabs": 2},
+        (5, 20, 6, "full"): {"nodes": 45, "prune_alldiff": 1, "prune_stabs": 22,
+                             "prune_stabs_dual": 1},
+        (5, 20, 6, "limitdepth"): {"nodes": 1054, "prune_alldiff": 1, "prune_stabs": 22},
+        (5, 20, 8, "full"): {"nodes": 57, "prune_stabs": 35, "prune_stabs_dual": 1},
+        (5, 20, 8, "limitdepth"): {"nodes": 16429, "prune_stabs": 35, "prune_stabs_dual": 1},
+        (2, 20, 6, "full"): {"nodes": 48, "prune_stabs": 8, "prune_stabs_dual": 1},
+        (2, 20, 6, "limitdepth"): {"nodes": 26, "prune_stabs": 9, "prune_stabs_dual": 2},
+        (3, 20, 6, "full"): {"nodes": 30, "prune_stabs": 8, "prune_stabs_dual": 1},
+        (3, 20, 6, "limitdepth"): {"nodes": 48, "prune_stabs": 8, "prune_stabs_dual": 1},
+        (7, 37, 3, "full"): {"nodes": 29},
+        (7, 37, 3, "limitdepth"): {"nodes": 40},
+        "direct factor full": {"nodes": 62, "prune_minimality": 9},
+        "direct factor limitdepth": {"nodes": 131, "prune_minimality": 7},
+    }
+
+    def test_counters(self):
+        from symnorm.cli import compute
+        from symnorm.perm import format_group
+
+        for key, want in self.COUNTERS.items():
+            if isinstance(key, tuple):
+                p, k, dim, method = key
+                text = gen_instance(p, k, dim, 0)[1]
+            else:
+                grp, method = code_to_group(DIRECT_FACTOR), key.split()[-1]
+                text = format_group(5, grp.degree, grp.generators)
+            counters = compute(text, method).counters
+            got = {c: v for c, v in counters.items() if c.startswith(("nodes", "prune_"))}
+            assert got == want, key
+
+
 class TestCompareStabs:
     def test_identity_prefix_passes(self):
         inst = build_instance(e1_group(), 2)
@@ -747,7 +833,7 @@ KNOWN_FAMILIES = [
 class TestKnownOrderFamilies:
     """Codes whose normaliser orders have closed forms, on redundant,
     shuffled generating sets with every point relabelled; the repetition
-    code over F_37 with k = 7 has degree 259 (tuple backing).  The
+    code over F_37 with k = 7 has degree 259 (index-table backing).  The
     depth-limited method runs where it takes under a second: on the
     simplex codes above m = 3 it enumerates thousands of nodes."""
 
@@ -807,7 +893,7 @@ class TestFullSpace:
     @pytest.mark.parametrize("p,k", [(3, 30), (37, 7), (2, 12)])
     def test_cyclic_power(self, p, k, method):
         # AGL(1, p) wr S_k, of order (p (p - 1))^k k!; C_37^7 has degree
-        # 259 and runs on the tuple backing
+        # 259 and runs on the index-table backing
         grp = redundant_relabelled(random.Random(p * k), p * k, cyclic_power(p, k))
         res = normalizer_in_sym(grp, p, method)
         assert res.order == (p * (p - 1)) ** k * math.factorial(k)
