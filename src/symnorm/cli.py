@@ -19,10 +19,10 @@ import random
 import statistics
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from symnorm.dihedral import build_dihedral, normalizer_dihedral
-from symnorm.encode import NotInClass, code_to_group
+from symnorm.encode import NotInClass, block_perm, code_to_group
 from symnorm.gfp import (
     BudgetExceeded,
     FpMatrix,
@@ -79,21 +79,7 @@ class RunRecord:
         return "\n".join(lines)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "instance": self.instance,
-                "method": self.method,
-                "p": self.p,
-                "degree": self.degree,
-                "order": self.order,
-                "time_ms": self.time_ms,
-                "timed_out": self.timed_out,
-                "counters": self.counters,
-                "generators": self.generators,
-            },
-            indent=None,
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 def instance_hash(p: int, degree: int, gens) -> str:
@@ -151,19 +137,11 @@ def gen_instance(
         refl = random_full_rank(rng, 2, k, max(1, k // 2))
         if _no_zero_column(refl):
             break
-    n = p * k
     gens = list(code_to_group(rot).generators)
-    for row in refl.rows:
-        imgs = list(range(1, n + 1))
-        for i, bit in enumerate(row):
-            if bit == 0:
-                continue
-            base = p * i
-            for u in range(p):
-                imgs[base + u] = base + (-u) % p + 1
-        gens.append(Permutation(imgs))
-    grp = PermGroup.from_gens(n, gens)
-    return grp, format_group(p, n, grp.generators)
+    for row in refl.rows:  # a reflection u -> -u of every block where row is 1
+        gens.append(block_perm(p, [p - 1 if bit else 1 for bit in row], [0] * k))
+    grp = PermGroup.from_gens(p * k, gens)
+    return grp, format_group(p, p * k, grp.generators)
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,7 @@ from itertools import chain, combinations
 from symnorm.encode import (
     InPInstance,
     NotInClass,
+    affine_parts,
     affine_perm,
     gamma_inv,
     instance_from_code,
@@ -171,24 +172,25 @@ def normalizer_dihedral(
     the two points 2i+1, 2i+2, swapped by exactly the elements whose sign
     pattern is -1 at i.  The orbit permutations of its normaliser are those
     that fix the sign code, kappa, and they bound where the rotation
-    normaliser can move orbits.  Each generator y of the rotation
-    normaliser is lifted to tau = y * prod_j g_j^(r_j), where g_j is the
-    rotation of orbit j and r_j sends the image of a fixed point back to
-    the fixed point alpha_j: the one element of y times the orbit rotations
-    that maps fixed points onto fixed points.  The final group is
-    generated by these lifts together with the group itself, and each of
-    its generators is checked against the group.  Both searches share one
-    deadline: the second gets what the first left of cfg.time_limit.
+    normaliser can move orbits.  Each generator y = (pi, scale, shift) of
+    the rotation normaliser is lifted to (pi, scale, shift'), with
+    shift'_i = x_pi(i) - scale_i x_i and x_j the position of the fixed
+    point alpha_j on its cycle: the one element of y times the orbit
+    rotations that maps fixed points onto fixed points, built in one pass.
+    The final group is generated by these lifts together with the group
+    itself, and each of its generators is checked against the group.  Both
+    searches share one deadline: the second gets what the first left of
+    cfg.time_limit.
 
     The order is a closed form, |N| = |N_R| * p^(s - k), with N_R the
     rotation normaliser found and s the dimension of the rotation code.
     N_R starts from every orbit cycle, whether the search walks its tree
     or, with s = k, returns in closed form, so N_R contains the p^k orbit
     translations T and N_R = T x| S, where S is the stabiliser of
-    the fixed points alpha; y -> y * prod_j g_j^(r_j) is the projection
-    onto S, so the lifts generate S.  The group H = R x| C meets S in the
-    complement C (a rotation fixing every alpha_j is trivial), hence
-    |<S, H>| = |S| |H| / |C| = (|N_R| / p^k) * p^s.
+    the fixed points alpha; the lift y -> (pi, scale, shift') is the
+    projection onto S, so the lifts generate S.  The group H = R x| C
+    meets S in the complement C (a rotation fixing every alpha_j is
+    trivial), hence |<S, H>| = |S| |H| / |C| = (|N_R| / p^k) * p^s.
     """
     cfg = cfg or SearchConfig()
     started = time.monotonic()
@@ -211,15 +213,14 @@ def normalizer_dihedral(
     sub_p = full_search(rot, cfg, kappa_group=kappa_group)
     stats.update({f"rotations_{key}": v for key, v in sub_p.stats.items()})
 
-    # lift each generator by the rotation correction onto the fixed points
+    # lift each generator y = (pi, scale, _) onto the fixed points: the
+    # shift x[pi(i)] - scale[i] x[i] sends alpha_i to alpha_pi(i)
+    x = [rot.point_exp[a] for a in inst.alpha]
     lifted = []
     for y in sub_p.generators:
-        shift = [0] * k
-        for a in inst.alpha:
-            pt = y.image(a)
-            j = rot.point_orbit[pt]
-            shift[j] = rot.point_exp[inst.alpha[j]] - rot.point_exp[pt]
-        lifted.append(y * gamma_inv(rot, shift))
+        pi, scale, _ = affine_parts(rot, y)
+        shift = [x[pi.image(i + 1) - 1] - a * x[i] for i, a in enumerate(scale)]
+        lifted.append(affine_perm(rot, pi, scale, shift))
     group = PermGroup.from_gens(inst.degree, lifted + list(inst.group.generators))
     verify_normalises(inst.group, group.generators, 2 ** len(inst.signs) * rot.p**rot.s)
     stats["nodes"] = stats.get("blocks_nodes", 0) + stats.get("rotations_nodes", 0)

@@ -343,24 +343,23 @@ def eliminate_column(mat: FpMatrix, col: int) -> FpMatrix:
 # code -> group and equivalent-orbit swaps
 
 
+def block_perm(p: int, scale, shift) -> Permutation:
+    """The permutation of p*k points in k consecutive p-blocks sending
+    point p*i + u + 1 to p*i + (scale[i]*u + shift[i]) mod p + 1."""
+    return Permutation(
+        p * i + (a * u + b) % p + 1
+        for i, (a, b) in enumerate(zip(scale, shift))
+        for u in range(p)
+    )
+
+
 def code_to_group(m: FpMatrix) -> PermGroup:
     """The group on p*k points with consecutive p-blocks whose exponent
     code is the row space of m."""
     if matrix_rank(m) != m.s or m.s == 0:
         raise ValueError("generator matrix must have full row rank")
-    p, k = m.p, m.k
-    n = p * k
-    gens = []
-    for row in m.rows:
-        imgs = list(range(1, n + 1))
-        for i, r in enumerate(row):
-            if r % p == 0:
-                continue
-            base = p * i
-            for u in range(p):
-                imgs[base + u] = base + (u + r) % p + 1
-        gens.append(Permutation(imgs))
-    return PermGroup.from_gens(n, gens)
+    gens = [block_perm(m.p, [1] * m.k, row) for row in m.rows]
+    return PermGroup.from_gens(m.p * m.k, gens)
 
 
 def equiv_orbit_swap(inst: InPInstance, i: int, j: int, a: int) -> Permutation:
@@ -412,7 +411,10 @@ class ReduceResult:
 
     def theta(self, u: Permutation) -> Permutation:
         """Extend a normalising element of the reduced group to the full
-        domain, moving each orbit alongside its class representative."""
+        domain, moving each orbit alongside its class representative; when
+        no orbit collapsed, that is u itself."""
+        if self.reduced is self.instance:
+            return u
         classes, swaps, rep_sets = self._theta_data
         inst = self.instance
         imgs = list(range(1, inst.degree + 1))

@@ -51,15 +51,10 @@ def brute_maut(
     return out
 
 
-def brute_normalizer(
-    H: PermGroup, n: int | None = None, budget: OracleBudget = OracleBudget()
-) -> PermGroup:
-    """The normaliser of H in the symmetric group on {1..n}, by testing
-    every element."""
-    if n is None:
-        n = H.degree
-    if n != H.degree:
-        raise ValueError("degree mismatch")
+def brute_normalizer(H: PermGroup, budget: OracleBudget = OracleBudget()) -> PermGroup:
+    """The normaliser of H in the symmetric group on its degree n points,
+    by testing every element."""
+    n = H.degree
     if factorial(n) > budget.max_elements:
         raise BudgetExceeded(f"S_{n} has {factorial(n)} elements")
     elements = {g.images for g in H.elements(limit=budget.max_elements)}

@@ -88,7 +88,7 @@ class Permutation:
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
-        return cls(range(1, n + 1))
+        return cls._from_table(n, _PAD if n <= 256 else _iota(n)[0])
 
     @classmethod
     def from_cycles(cls, n: int, cycles) -> "Permutation":

@@ -671,43 +671,19 @@ def _dual_swappable(inst: InPInstance, method: str) -> bool:
     return method != "limitdepth" or len(classes) == inst.k
 
 
-def _search_with_dual_swap(
-    inst: InPInstance, method: str, cfg: SearchConfig, sizes: tuple[int, ...]
-) -> NormalizerResult:
-    """Run the search on the instance, or on its dual when that has lower
-    dimension, mapping dual normalisers back by inverting the orbit-fixing
-    part.  The order carries over: (D, pi) -> (D^-1, pi) is an isomorphism
-    from the monomial automorphisms of the dual onto those of the code,
-    and both normalisers have order p^k times that group's order."""
-    runner = full_search if method == "full" else limit_depth_search
-    if not _dual_swappable(inst, method):
-        return runner(inst, cfg, sizes=sizes)
-
-    dual_inst = instance_from_code(
-        inst.field, inst.degree, inst.orbit_cycles, inst.dual.rows
-    )
-    dual_sizes = [0] * inst.k
-    for cyc, n in zip(inst.orbit_cycles, sizes):
-        dual_sizes[dual_inst.point_orbit[cyc[0]]] = n
-    sub = runner(dual_inst, cfg, sizes=tuple(dual_sizes))
-
-    # repeats are left to the pipeline's final PermGroup.from_gens
-    gens = list(inst.orbit_gens) + [_dual_mirror(inst, g) for g in sub.generators]
-    stats = dict(sub.stats)
-    stats["dual_swapped"] = 1
-    return NormalizerResult(tuple(gens), sub.order, stats, sub.method)
-
-
 def instance_normalizer(
     inst: InPInstance, method: str, cfg: SearchConfig
 ) -> NormalizerResult:
     """Normaliser of the instance's group in the symmetric group on its
     degree points, unverified.
 
-    Equivalent orbits are collapsed first; the search then runs on one
-    orbit per class (against the dual code when that is smaller), and the
-    result is assembled from the embedded search output and the
-    centraliser.
+    Equivalent orbits are collapsed first, and the search runs on one
+    orbit per class.  It runs against the dual code instead when that has
+    lower dimension, and dual normalisers map back by inverting their
+    orbit-fixing part: (D, pi) -> (D^-1, pi) is an isomorphism from the
+    monomial automorphisms of the dual onto those of the code, and both
+    normalisers have order p^k times that group's order.  The result is
+    the search output lifted through theta, plus the centraliser.
 
     The order comes from a closed form, not a chain over the result:
     |N| = |N_red| * p^(k - k_red) * prod(m_i!), where N_red is the
@@ -717,17 +693,33 @@ def instance_normalizer(
     own cycle, and the copies of a class may be permuted freely.
     """
     red = reduce_equivalent_orbits(inst)
-    sizes = red.class_sizes
-    sub = _search_with_dual_swap(red.reduced, method, cfg, sizes)
-    gens = [red.theta(g) for g in sub.generators]
+    reduced, sizes = red.reduced, red.class_sizes
+    target = reduced
+    swapped = _dual_swappable(reduced, method)
+    if swapped:  # the class sizes follow the orbits onto the dual's labels
+        target = instance_from_code(
+            inst.field, inst.degree, reduced.orbit_cycles, reduced.dual.rows
+        )
+        dual_sizes = [0] * reduced.k
+        for cyc, n in zip(reduced.orbit_cycles, sizes):
+            dual_sizes[target.point_orbit[cyc[0]]] = n
+        sizes = tuple(dual_sizes)
+    runner = full_search if method == "full" else limit_depth_search
+    sub = runner(target, cfg, sizes=sizes)
+    gens, stats = sub.generators, dict(sub.stats)
+    if swapped:
+        # repeats are left to PermGroup.from_gens below
+        gens = list(reduced.orbit_gens) + [_dual_mirror(reduced, g) for g in gens]
+        stats["dual_swapped"] = 1
+    gens = [red.theta(g) for g in gens]
     gens.extend(red.centralizer_gens)
     order = (
         sub.order
-        * inst.p ** (inst.k - red.reduced.k)
+        * inst.p ** (inst.k - reduced.k)
         * prod(factorial(m) for m in sizes)
     )
     group = PermGroup.from_gens(inst.degree, gens)
-    return NormalizerResult(group.generators, order, sub.stats, method)
+    return NormalizerResult(group.generators, order, stats, method)
 
 
 def normalizer_in_sym(

@@ -1,3 +1,6 @@
+import dataclasses
+import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -9,6 +12,7 @@ import pytest
 import symnorm.cli as cli_module
 from symnorm.cli import (
     BenchCell,
+    RunRecord,
     bench,
     compute,
     format_bench_table,
@@ -48,6 +52,42 @@ class TestGen:
     def test_dihedral_needs_odd(self):
         with pytest.raises(ValueError):
             gen_instance(2, 3, 1, seed=0, dihedral=True)
+
+    # SHA-256 of the text of every instance the benchmark's workloads draw
+    # (p, k, dim, dihedral, instance seed): the benchmark regenerates its
+    # inputs through gen_instance, so these texts must not change
+    WORKLOAD_TEXTS = {
+        (5, 20, 4, False, 0): "0607fd561e1a0ba0d795f693c8af7017ed6c9560d69e7750511d24bca6bcc95b",
+        (5, 20, 6, False, 0): "39398e5af66257c7af6e57e641656972a15d76240f07be9031b1352e1472789b",
+        (5, 20, 8, False, 0): "3703f6000568f8ea71e9b83997d6f3be694ff91d7dc3d1108dbbc0562480407d",
+        (2, 20, 6, False, 0): "94ce51138b5db32c588bfc2a9b8058547bceb8acc761c1a72aa7da544e42e5b8",
+        (3, 20, 6, False, 0): "66eeadea7755b8658780cc19b8824b5309f0b2f1244fa509fc7fda74223b653c",
+        (11, 20, 6, False, 0): "49367a64100785433cdd54fff704961afdaf6cb40eeaf82aab7d87f62df9fb12",
+        (3, 12, 4, True, 0): "9ef2c57d2ba3fc02c27b4cc443c5212e234c5d2d7da40200ca2198f2f988491d",
+        (3, 12, 4, True, 1): "b2e4b5546e512c69e845fdc4a7890bacfda190304f48b1bae85e3878274cebe8",
+        (3, 12, 4, True, 2): "2223c20f818123775b987b06c40d02f8ebc90d846114175128d59bdd9ec2e87b",
+        (3, 16, 5, True, 0): "c6022bcc27d64dd070154089ce26fc1a5bfb7b0f1ebf4f7efec93c2f54922da1",
+        (5, 12, 4, True, 0): "77526a9e1a5a080078d2977583bdd51b689616d241dc168afe88737739cf405d",
+        (7, 12, 4, True, 0): "1ef427d772cf71df725552fc7f80ad838f1eca4f162d6a19bd88c486e493ae8c",
+        (7, 37, 3, False, 0): "6da20d51e3bdf501dbe47c7780fe318659e6fbcb024f9e7f066cbb986f204378",
+    }
+
+    def test_workload_texts_pinned(self, monkeypatch):
+        path = Path(__file__).resolve().parents[1] / "benchmark" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
+        spec.loader.exec_module(workloads)
+        drawn = {
+            (c.p, c.k, c.dim, c.dihedral, seed)
+            for w in workloads.WORKLOADS.values()
+            for c in w.cells
+            for seed in range(c.count)
+        }
+        assert drawn == set(self.WORKLOAD_TEXTS)
+        for (p, k, dim, dihedral, seed), digest in self.WORKLOAD_TEXTS.items():
+            _, text = gen_instance(p, k, dim, seed, dihedral=dihedral)
+            assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 class TestCompute:
@@ -114,6 +154,7 @@ class TestCompute:
         text = "2 6\n(1 2)(5 6)\n(3 4)(5 6)"
         rec = compute(text)
         payload = json.loads(rec.to_json())
+        assert set(payload) == {f.name for f in dataclasses.fields(RunRecord)}
         assert payload["order"] == "48"
         assert payload["instance"] == instance_hash(
             2, 6, PermGroup.from_gens(6, parse_group(text)[2]).generators

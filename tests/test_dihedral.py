@@ -10,7 +10,7 @@ import symnorm.dihedral as dihedral_module
 import symnorm.search as search_module
 from symnorm.cli import gen_instance, main, random_full_rank
 from symnorm.dihedral import build_dihedral, normalizer_dihedral
-from symnorm.encode import NotInClass, code_to_group
+from symnorm.encode import NotInClass, block_perm, code_to_group
 from symnorm.gfp import FpMatrix, InvariantViolation, matrix_rank
 from symnorm.oracle import brute_normalizer, brute_normalizer_elements
 from symnorm.perm import PermGroup, Permutation, format_group, orbits_of
@@ -29,19 +29,11 @@ def dihedral_group_from_codes(p, rot_matrix, refl_matrix):
     """Group on consecutive p-blocks: rotations from the first code's rows,
     products of block reflections from the second's."""
     k = rot_matrix.k
-    n = p * k
     gens = list(code_to_group(rot_matrix).generators)
     for row in refl_matrix.rows:
-        imgs = list(range(1, n + 1))
-        for i, bit in enumerate(row):
-            if bit % 2 == 0:
-                continue
-            base = p * i
-            # invert the block cycle around its first point
-            for u in range(p):
-                imgs[base + u] = base + (-u) % p + 1
-        gens.append(Permutation(imgs))
-    return PermGroup.from_gens(n, gens)
+        # invert the block cycle around its first point where row is odd
+        gens.append(block_perm(p, [p - 1 if bit % 2 else 1 for bit in row], [0] * k))
+    return PermGroup.from_gens(p * k, gens)
 
 
 def random_dihedral(rng, p, k, dim_p, dim_2):
@@ -475,6 +467,53 @@ class TestNormalizerDihedral:
                 for x in grp.generators:
                     assert chain.contains(x.conj(g))
             assert res.order % grp.order() == 0
+
+    @pytest.mark.parametrize(
+        "case",
+        [("gen", 3, 6, 2, 0), ("gen", 5, 5, 3, 1), ("gen", 7, 6, 2, 2),
+         ("gen", 3, 10, 4, 3), ("blocks", 3, 1, 4), ("blocks", 5, 2, 3),
+         ("blocks", 7, 3, 2), ("blocks", 3, 2, 6)],
+        ids=str,
+    )
+    @pytest.mark.parametrize("relabel", [False, True])
+    def test_lifts_keep_the_fixed_points(self, case, relabel, monkeypatch):
+        # every lifted generator of the rotation normaliser maps the set of
+        # alpha points onto itself; on the one-reflection repetition blocks
+        # the rotation code has s < k and the rotation search walks its tree.
+        # As drawn, every alpha_i is the least point of its cycle; relabelled
+        # at random, alpha_i sits anywhere on it
+        if case[0] == "gen":
+            p, k, dim, seed = case[1:]
+            grp, _ = gen_instance(p, k, dim, seed, dihedral=True)
+        else:
+            p, t, b = case[1:]
+            k = t * b
+            rot = M(p, [[int(i // b == j) for i in range(k)] for j in range(t)])
+            grp = dihedral_group_from_codes(p, rot, M(2, [[1] * k]))
+        if relabel:
+            imgs = list(range(1, grp.degree + 1))
+            random.Random(len(imgs)).shuffle(imgs)
+            sigma = Permutation(imgs)
+            grp = PermGroup.from_gens(len(imgs), [g.conj(sigma) for g in grp.generators])
+        inst = build_dihedral(grp, p)
+        lifts = []
+        build = dihedral_module.affine_perm
+
+        def recording(*args, **kwargs):
+            lifts.append(build(*args, **kwargs))
+            return lifts[-1]
+
+        monkeypatch.setattr(dihedral_module, "affine_perm", recording)
+        res = normalizer_dihedral(inst)
+        if case[0] == "blocks":
+            assert inst.rot_inst.s < inst.k
+            assert "rotations_closed_form" not in res.stats
+        alpha = set(inst.alpha)
+        assert len(lifts) > inst.k  # more than the orbit cycles
+        for g in lifts:
+            assert {g.image(a) for a in alpha} == alpha
+        group = PermGroup.from_gens(grp.degree, res.generators)
+        assert all(group.contains(g) for g in lifts)
 
     def test_one_deadline_for_both_searches(self, monkeypatch):
         # a fake monotonic clock that advances one second per reading, in

@@ -27,9 +27,14 @@ from symnorm.encode import (
     xi_image,
 )
 from symnorm.cli import gen_instance, main
-from symnorm.gfp import FpMatrix
+from symnorm.gfp import FpMatrix, column_equiv_classes
 from symnorm.perm import PermGroup, Permutation, format_group
-from symnorm.search import norm_b, normalizer_in_sym
+from symnorm.search import (
+    full_search,
+    limit_depth_search,
+    norm_b,
+    normalizer_in_sym,
+)
 
 
 def P(n, *cycles):
@@ -531,6 +536,26 @@ class TestThetaOracle:
             for u, v in zip(kept, kept[1:] + kept[:1]):
                 assert red.theta(u * v) == red.theta(u) * red.theta(v)
         assert moved and rejected
+
+    @pytest.mark.parametrize(
+        "p, k, dim, seed", [(5, 7, 3, 0), (7, 8, 4, 1), (3, 8, 5, 1), (2, 10, 6, 3)]
+    )
+    def test_identity_when_nothing_collapses(self, p, k, dim, seed):
+        # theta is u itself; the point-by-point path, run on an equal copy
+        # of the reduced instance, agrees on every search generator
+        inst = build_instance(gen_instance(p, k, dim, seed)[0], p)
+        assert len(column_equiv_classes(inst.matrix)) == inst.k
+        red = reduce_equivalent_orbits(inst)
+        assert red.reduced is inst
+        copy = instance_from_code(
+            inst.field, inst.degree, inst.orbit_cycles, inst.matrix.rows
+        )
+        generic = dataclasses.replace(red, reduced=copy)
+        gens = full_search(inst).generators + limit_depth_search(inst).generators
+        assert len(gens) > inst.k  # more than the orbit cycles
+        for u in gens:
+            assert red.theta(u) is u
+            assert generic.theta(u) == u
 
     def test_rejects_mixed_class_sizes(self):
         # columns (1, 0), (0, 1), (0, 2): classes of sizes 1 and 2, whose

@@ -277,6 +277,12 @@ class TestStabChainExtend:
         assert all(g == ways[0] and g.images == tuple(images) for g in ways)
         grp = PermGroup.from_gens(degree, ways + [ident, t])
         assert grp.generators == (ways[0], t)
+        # the identity shares the cached tables and still acts as one
+        built = Permutation(range(1, degree + 1))
+        assert ident == built and hash(ident) == hash(built)
+        assert ident.images == built.images and ident.is_identity()
+        assert ident.inverse() == ident and ident.conj(t) == ident
+        assert ident * t == t == t * ident and t ** 3 == ident
 
     def test_repeated_and_identity_generators(self):
         g = P(300, (1, 299, 300))
