@@ -375,20 +375,18 @@ def equiv_orbit_swap(inst: InPInstance, i: int, j: int, a: int) -> Permutation:
 
 def equivalent_orbit_swaps(
     inst: InPInstance, mat: FpMatrix
-) -> list[tuple[tuple[int, ...], list[Permutation]]]:
+) -> list[tuple[tuple[int, ...], list[int], list[Permutation]]]:
     """Orbits grouped by their column of mat up to scaling, zero columns
     forming one class, in order of least orbit index: each class with the
+    ratio a of each column to its least one's (1 for the least) and the
     swaps exchanging its least orbit with each later one."""
     p = inst.p
     out = []
     for cell in column_equiv_classes(mat):
         lead = [next((x for x in mat.col(j) if x), 1) for j in cell]
-        inv = pow(lead[0], p - 2, p)
-        swaps = [
-            equiv_orbit_swap(inst, cell[0], j, a * inv % p)
-            for j, a in zip(cell[1:], lead[1:])
-        ]
-        out.append((cell, swaps))
+        ratios = [a * pow(lead[0], p - 2, p) % p for a in lead]
+        swaps = [equiv_orbit_swap(inst, cell[0], j, a) for j, a in zip(cell[1:], ratios[1:])]
+        out.append((cell, ratios, swaps))
     return out
 
 
@@ -407,28 +405,33 @@ class ReduceResult:
     reduced: InPInstance
     class_sizes: tuple[int, ...]
     centralizer_gens: tuple[Permutation, ...]
-    _theta_data: tuple = field(repr=False)
+    # per class, keyed by the first point of its representative's cycle:
+    # (j, a) for each orbit j in it, column j being a times the first one's
+    _theta_data: dict = field(repr=False)
 
     def theta(self, u: Permutation) -> Permutation:
         """Extend a normalising element of the reduced group to the full
         domain, moving each orbit alongside its class representative; when
-        no orbit collapsed, that is u itself."""
+        no orbit collapsed, that is u itself.  If u moves the representative
+        along (scale, shift), orbit j (column a times the representative's)
+        goes to the same member of the image class (column b times its
+        representative's) along x -> b (scale x / a + shift)."""
         if self.reduced is self.instance:
             return u
-        classes, swaps, rep_sets = self._theta_data
-        inst = self.instance
-        imgs = list(range(1, inst.degree + 1))
-        for ci, cell in enumerate(classes):
-            target_set = tuple(sorted(u.image(q) for q in inst.orbits[cell[0] - 1]))
-            cj = rep_sets.get(target_set)
-            if cj is None:
-                raise ValueError("element does not permute the representative orbits")
-            if len(classes[cj]) != len(cell):
+        inst, reduced, members = self.instance, self.reduced, self._theta_data
+        pi, scale, shift = affine_parts(reduced, u)
+        p, k = inst.p, inst.k
+        images, scales, shifts = [0] * k, [0] * k, [0] * k
+        for r, cyc in enumerate(reduced.orbit_cycles):
+            src = members[cyc[0]]
+            dst = members[reduced.orbit_cycles[pi.image(r + 1) - 1][0]]
+            if len(src) != len(dst):
                 raise ValueError("element mixes classes of different sizes")
-            for src, dst, j in zip(swaps[ci], swaps[cj], cell):
-                for pt in inst.orbits[j - 1]:
-                    imgs[pt - 1] = dst.image(u.image(src.image(pt)))
-        return Permutation(imgs)
+            for (j, a), (t, b) in zip(src, dst):
+                images[j - 1] = t
+                scales[j - 1] = b * scale[r] * pow(a, p - 2, p) % p
+                shifts[j - 1] = b * shift[r] % p
+        return affine_perm(inst, Permutation(images), scales, shifts)
 
 
 def reduce_equivalent_orbits(inst: InPInstance) -> ReduceResult:
@@ -436,11 +439,9 @@ def reduce_equivalent_orbits(inst: InPInstance) -> ReduceResult:
     equivalence class; the reduced instance is the instance itself when
     the orbits are pairwise inequivalent."""
     orbit_classes = equivalent_orbit_swaps(inst, inst.matrix)
-    classes = [cell for cell, _ in orbit_classes]
-    ident = Permutation.identity(inst.degree)
-    swaps = [[ident] + cell_swaps for _, cell_swaps in orbit_classes]
+    classes = [cell for cell, _, _ in orbit_classes]
     cent = list(inst.orbit_gens)
-    cent.extend(sw for _, cell_swaps in orbit_classes for sw in cell_swaps)
+    cent.extend(sw for _, _, cell_swaps in orbit_classes for sw in cell_swaps)
 
     reduced = inst
     if len(classes) < inst.k:
@@ -454,12 +455,14 @@ def reduce_equivalent_orbits(inst: InPInstance) -> ReduceResult:
             [inst.orbit_cycles[j] for j in reps],
             [[row[j] for j in reps] for row in inst.matrix.rows],
         )
-    size_at = {inst.orbit_cycles[cell[0] - 1][0]: len(cell) for cell in classes}
-    rep_sets = {inst.orbits[cell[0] - 1]: ci for ci, cell in enumerate(classes)}
+    members = {
+        inst.orbit_cycles[cell[0] - 1][0]: list(zip(cell, ratios))
+        for cell, ratios, _ in orbit_classes
+    }
     return ReduceResult(
         instance=inst,
         reduced=reduced,
-        class_sizes=tuple(size_at[cyc[0]] for cyc in reduced.orbit_cycles),
+        class_sizes=tuple(len(members[cyc[0]]) for cyc in reduced.orbit_cycles),
         centralizer_gens=tuple(cent),
-        _theta_data=(classes, swaps, rep_sets),
+        _theta_data=members,
     )

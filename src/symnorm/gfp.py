@@ -12,7 +12,8 @@ enumerators and the reversed-column ordering used for canonical forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from math import isqrt
 
 import numpy as np
 
@@ -27,18 +28,7 @@ class InvariantViolation(Exception):
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
 def primitive_root(p: int) -> int:
@@ -338,23 +328,21 @@ class WeightEnumerator:
     counts: tuple[int, ...]
 
 
-# words built per numpy step in weight_enumerator (head-tail pairs) and
-# min_weight_vectors; bounds their temporaries
-_WORD_CHUNK = 1 << 13
+# words built per numpy step in min_weight_vectors and scalings_matching_columns,
+# and entries of a one-hot or product block per step in weight_enumerator
+_WORD_CHUNK, _BLOCK_ENTRIES = 1 << 13, 1 << 18
 
 
-def _coefficient_grid(p: int, r: int) -> np.ndarray:
-    """All coefficient tuples of length r over F_p, in lexicographic order;
-    r = 0 gives the one empty tuple."""
-    return np.indices((p,) * r).reshape(r, p**r).T
-
-
-def _leading_one(grid: np.ndarray) -> np.ndarray:
-    """Mask of the rows whose first nonzero entry is 1: one row for each
-    class of nonzero rows under scaling."""
+@lru_cache(maxsize=64)
+def _coefficient_grid(p: int, r: int) -> tuple[np.ndarray, np.ndarray]:
+    """All coefficient tuples of length r over F_p in lexicographic order (one
+    empty tuple for r = 0), and the mask of those whose first nonzero entry
+    is 1, one per scalar class; read-only, as the cache shares them."""
+    grid = np.indices((p,) * r).reshape(r, p**r).T
     nz = grid != 0
-    first = np.where(nz & (nz.cumsum(axis=1) == 1), grid, 0).sum(axis=1)
-    return first == 1
+    leading_one = np.where(nz & (nz.cumsum(axis=1) == 1), grid, 0).sum(axis=1) == 1
+    grid.flags.writeable = leading_one.flags.writeable = False
+    return grid, leading_one
 
 
 def min_weight_vectors(mstd: FpMatrix) -> tuple[int, tuple[int, ...]]:
@@ -416,9 +404,13 @@ def weight_enumerator(mstd: FpMatrix, budget: int = 1 << 17) -> WeightEnumerator
     enumerated (coefficient vectors whose first nonzero entry is 1) and the
     histogram is multiplied by p - 1.  The coefficients split into a head
     and a tail: the classes are every projective head word plus every tail
-    word, and every projective tail word alone.  A sum h + t vanishes in a
-    coordinate exactly where h equals -t, so pairs are weighed by comparing
-    against the negated tail words, with no reduction mod p.
+    word, and every projective tail word alone.  On the k' nonzero columns
+    h + t vanishes where h = -t, so it weighs k' minus the dot product of the
+    one-hot encodings (width k' p) of h and -t: one matrix product weighs a
+    step of head words against every tail word.  Its entries and partial
+    sums are integers of at most k', exact in float32 while k' < 2^24
+    (float64 beyond).  The steps keep each one-hot and product block within
+    _BLOCK_ENTRIES entries; the tail's block has p^ceil(s/2) k'.
     """
     p, s, k = mstd.p, mstd.s, mstd.k
     if s == 0:
@@ -427,20 +419,21 @@ def weight_enumerator(mstd: FpMatrix, budget: int = 1 << 17) -> WeightEnumerator
         return None
     rows = np.array(mstd.rows, dtype=np.int64)
     rows = rows[:, rows.any(axis=0)]  # zero columns add no weight
-    dtype = np.min_scalar_type(p - 1)
+    width = rows.shape[1]
     lo = s // 2 + 1  # the head, cut down by the scalar, takes the larger half
-    head_grid = _coefficient_grid(p, lo)
-    head = (head_grid[_leading_one(head_grid)] @ rows[:lo] % p).astype(dtype)
-    tail_grid = _coefficient_grid(p, s - lo)
+    head_grid, head_one = _coefficient_grid(p, lo)
+    head = head_grid[head_one] @ rows[:lo] % p
+    tail_grid, tail_one = _coefficient_grid(p, s - lo)
     tail = tail_grid @ rows[lo:] % p
-    hist = np.bincount(
-        np.count_nonzero(tail[_leading_one(tail_grid)], axis=1), minlength=k + 1
-    )
-    neg_tail = ((p - tail) % p).astype(dtype)
-    step = max(1, _WORD_CHUNK // len(head))
-    for start in range(0, len(neg_tail), step):
-        block = neg_tail[start : start + step, None, :] != head[None, :, :]
-        hist += np.bincount(np.count_nonzero(block, axis=2).ravel(), minlength=k + 1)
+    hist = np.bincount(np.count_nonzero(tail[tail_one], axis=1), minlength=k + 1)
+    one_hot = np.eye(p, dtype=np.float32 if width < 1 << 24 else np.float64)
+    neg_tail = one_hot.take(-tail % p, axis=0).reshape(len(tail), width * p)
+    step = max(1, _BLOCK_ENTRIES // (width * p + len(tail)))
+    for start in range(0, len(head), step):
+        words = head[start : start + step]
+        block = one_hot.take(words, axis=0).reshape(len(words), width * p)
+        equal = block @ neg_tail.T  # per pair, the coordinates where h = -t
+        hist += np.bincount((width - equal).astype(np.intp).ravel(), minlength=k + 1)
     return WeightEnumerator(tuple(int(x) * (p - 1) for x in hist[1 : k + 1]))
 
 

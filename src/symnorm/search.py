@@ -195,14 +195,14 @@ def domains_init(
     # equivalent pair yields a normalising element; classes are taken in
     # order of their normalised dual column, which fixes the generator order
     classes = equivalent_orbit_swaps(inst, inst.dual)
-    for _, swaps in sorted(
+    for _, _, swaps in sorted(
         classes, key=lambda c: normalized_column(inst.dual.col(c[0][0]), p)
     ):
         for swap in swaps:
             if kappa_gate is None or kappa_gate(affine_parts(inst, swap)[0]):
                 found.add(_dual_mirror(inst, swap))
     if cfg.use_dual_partitions:
-        class_size = {j: len(cell) for cell, _ in classes for j in cell}
+        class_size = {j: len(cell) for cell, _, _ in classes for j in cell}
         keyparts.append([class_size[j] for j in range(1, k + 1)])
 
     # stabiliser class-size profiles, for the code and its dual
@@ -524,8 +524,7 @@ class _Search:
             doms = refined
 
         if self.method == "limitdepth" and d == self.s and d < self.k:
-            self._limit_depth_node(alpha, doms)
-            return None
+            return self._jump_target(alpha) if self._limit_depth_node(alpha, doms) else None
 
         used = set(alpha)
         for c in sorted(doms[d]):
@@ -560,12 +559,13 @@ class _Search:
 
     # -- the depth-limited variant ---------------------------------------
 
-    def _limit_depth_node(self, alpha, doms):
+    def _limit_depth_node(self, alpha, doms) -> bool:
         """Try the scalings of the assigned pivot images; each one
         determines the whole code image, which either matches the remaining
         columns bijectively (up to scalars) or dies.  The scalings are
         tested in numpy steps (gfp.scalings_matching_columns), and each
         survivor is checked and added here, one node per scaling tried.
+        Returns whether it added an element: the search then jumps back.
 
         Scalings v and c.v give the same orbit permutation, and only the
         first v found for each one is kept.  That v is the least of its
@@ -583,13 +583,13 @@ class _Search:
             ainv = mat_inverse(pivot_img)
         except ValueError:
             self.stats["depth_singular"] += 1
-            return
+            return False
         base = mat_mul(ainv, inst.matrix)  # the image code rows, up to row scalings
         assigned = set(alpha)
         free_positions = [j for j in range(1, k + 1) if j not in assigned]
         cols = [[row[j - 1] for j in free_positions] for row in base.rows]
 
-        seen_kappas = set()
+        seen_kappas, found = set(), False
         matches = scalings_matching_columns(p, cols, self.targets, self._tick)
         for v, match, scale in matches:
             images = list(alpha) + [0] * (k - s)
@@ -606,6 +606,8 @@ class _Search:
                 continue
             self.found.add(affine_perm(inst, pi, diag))
             self.stats["found"] += 1
+            found = True
+        return found
 
 
 # ---------------------------------------------------------------------------
@@ -642,9 +644,9 @@ def limit_depth_search(
 
 def verify_normalises(H: PermGroup, gens, order: int) -> None:
     """Raise InvariantViolation unless every g in gens conjugates each
-    generator of H into H.  Generators of H itself are skipped: they lie in
-    H, so they normalise it.  Membership goes through a chain of H filled
-    up to order, |H| as recognition reads it: a sift to the identity proves
+    generator of H into H.  Generators of H, as g or as a conjugate, lie in
+    H and are skipped.  Other conjugates go through a chain of H filled up
+    to order, |H| as recognition reads it: a sift to the identity proves
     membership whatever that order, and a conjugate that fails to sift is
     checked again against H's deterministic chain before anything is
     raised, so the check does not depend on recognition."""
@@ -655,7 +657,7 @@ def verify_normalises(H: PermGroup, gens, order: int) -> None:
             continue
         for x in H.generators:
             y = x.conj(g)
-            if not chain.contains(y) and not H.contains(y):
+            if y not in own and not chain.contains(y) and not H.contains(y):
                 raise InvariantViolation("result generator fails to normalise the input")
 
 

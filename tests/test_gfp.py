@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from symnorm import gfp
 from symnorm.gfp import (
     FpMatrix,
     PrimeField,
@@ -42,11 +43,17 @@ def M(p, rows):
 
 def brute_weights(p, rows, k):
     """Weight counts of the words of all p^s coefficient vectors, each
-    reduced mod p."""
+    reduced mod p.  The vectors go in steps of at most 2^14 that share
+    their leading coefficients, which bounds the memory at large p^s."""
     s = len(rows)
-    coeffs = np.array(list(itertools.product(range(p), repeat=s)), dtype=np.int64)
-    words = coeffs.reshape(p**s, s) @ np.array(rows, dtype=np.int64).reshape(s, k) % p
-    hist = np.bincount(np.count_nonzero(words, axis=1), minlength=k + 1)
+    mat = np.array(rows, dtype=np.int64).reshape(s, k)
+    low = max(r for r in range(s + 1) if p**r <= 1 << 14 or r == 0)
+    tails = np.array(list(itertools.product(range(p), repeat=low)), dtype=np.int64)
+    tail_words = tails.reshape(p**low, low) @ mat[s - low :]
+    hist = np.zeros(k + 1, dtype=np.int64)
+    for head in itertools.product(range(p), repeat=s - low):
+        words = (np.array(head, dtype=np.int64) @ mat[: s - low] + tail_words) % p
+        hist += np.bincount(np.count_nonzero(words, axis=1), minlength=k + 1)
     return tuple(int(x) for x in hist[1:])
 
 
@@ -399,6 +406,60 @@ class TestWeightEnumerator:
             ]
             we = weight_enumerator(M(p, rows))
             assert sum(we.counts) == p**s - 1
+
+    @staticmethod
+    def random_rows(rng, p, s, k, zero=0.2):
+        rows = [[rng.randrange(p) for _ in range(k)] for _ in range(s)]
+        for j in range(k):
+            if rng.random() < zero:
+                for r in rows:
+                    r[j] = 0
+        return rows
+
+    def test_steps_of_head_words(self, monkeypatch):
+        # blocks so small that the head words go in many steps, down to one
+        # word per step, with and without a short last step
+        rng = random.Random(41)
+        cases = [(2, 9, 12), (3, 6, 9), (5, 4, 7), (7, 3, 5), (2, 12, 16)]
+        for entries in (1, 50, 333, 4096):
+            monkeypatch.setattr(gfp, "_BLOCK_ENTRIES", entries)
+            for p, s, k in cases:
+                rows = self.random_rows(rng, p, s, k)
+                we = weight_enumerator(FpMatrix.from_rows(p, rows, k))
+                assert we.counts == brute_weights(p, rows, k), (entries, p, rows)
+
+    def test_large_field(self):
+        # p = 257: a one-hot width of 257 k', so a step holds a few of the
+        # 258 head words of s = 2, or the one head word of s = 1
+        rng = random.Random(43)
+        for s, k in ((1, 64), (2, 64), (2, 100)):
+            rows = self.random_rows(rng, 257, s, k, zero=0.1)
+            we = weight_enumerator(FpMatrix.from_rows(257, rows, k))
+            assert we.counts == brute_weights(257, rows, k), (s, k)
+
+    def test_one_row(self):
+        # s = 1: one projective head word and an empty tail
+        rng = random.Random(47)
+        for p in (2, 3, 5, 7, 11, 13, 101):
+            for k in (1, 2, 9, 40):
+                rows = self.random_rows(rng, p, 1, k)
+                we = weight_enumerator(FpMatrix.from_rows(p, rows, k))
+                assert we.counts == brute_weights(p, rows, k), (p, rows)
+
+    def test_repeated_and_zero_columns_at_large_budget(self):
+        # p = 2, s = 20 under budget 2^20: 2^20 words, head words in several
+        # steps; the columns repeat, and six of them are zero
+        rng = random.Random(53)
+        base = self.random_rows(rng, 2, 20, 24, zero=0)
+        cols = [[r[j] for r in base] for j in range(24)]
+        cols += [cols[j] for j in (0, 0, 3, 5, 5, 5, 11)] + [[0] * 20] * 6
+        rng.shuffle(cols)
+        k = len(cols)
+        m = FpMatrix.from_rows(2, [[col[i] for col in cols] for i in range(20)], k)
+        assert matrix_rank(m) == 20
+        we = weight_enumerator(m, budget=1 << 20)
+        assert we.counts == brute_weights(2, m.rows, k)
+        assert sum(we.counts) == (1 << 20) - 1
 
 
 class TestPrecOrder:
