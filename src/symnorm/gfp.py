@@ -328,8 +328,8 @@ class WeightEnumerator:
     counts: tuple[int, ...]
 
 
-# words built per numpy step in min_weight_vectors and scalings_matching_columns,
-# and entries of a one-hot or product block per step in weight_enumerator
+# words built per numpy step in min_weight_vectors, and entries of a one-hot
+# or product block per step in weight_enumerator
 _WORD_CHUNK, _BLOCK_ENTRIES = 1 << 13, 1 << 18
 
 
@@ -449,65 +449,64 @@ def scalings_matching_columns(p: int, cols, targets, tick):
     column match[j] (0-based).
 
     v has no zero entry, so v o c has the zero pattern of c and its leading
-    entry in c's leading row r0.  Scaled by 1 / (v[r0] c[r0]), so that this
-    entry is 1, it is compared entry by entry on c's other nonzero rows with
-    the normalised targets of c's zero pattern only.  The (p-1)^(s-1)
-    scalings are built from their indices, with their entrywise inverses,
-    in steps of _WORD_CHUNK in the smallest dtype that holds (p-1)^2, and
-    filtered one column at a time; tick(count) is called before each step.
+    entry in c's leading row r0.  A backtrack fixes v[1], ..., v[s-1] in
+    turn and calls tick(1) per partial scaling.  Once v[r] is set, each
+    column nonzero at r and at an earlier row, scaled to lead 1, must agree
+    on its support rows up to r with a target of its zero pattern, or the
+    branch dies.  The normalised targets of each pattern form a trie over
+    their support rows after the leading one, with target indices as
+    leaves, so each check walks one edge.
     """
     s = len(cols)
-    total = (p - 1) ** (s - 1)
-    dtype = np.min_scalar_type((p - 1) ** 2)  # holds a product before its reduction
     inv = [0] + [pow(x, p - 2, p) for x in range(1, p)]
-    t_cols = list(zip(*targets))
-    t_lead_inv = [inv[next(x for x in col if x)] for col in t_cols]
-    t_norm = np.array(
-        [[x * li % p for x in col] for col, li in zip(t_cols, t_lead_inv)], dtype=dtype
-    ).T
-    patterns = [tuple(x != 0 for x in col) for col in t_cols]
-    # per column: the targets of its zero pattern, its leading row and
-    # entry, and its other nonzero rows with their entries over the leading one
-    plan = []
+    tries, t_lead = {}, []
+    for t, col in enumerate(zip(*targets)):
+        rows = tuple(r for r in range(s) if col[r])
+        t_lead.append(col[rows[0]])
+        path = [col[r] * inv[t_lead[t]] % p for r in rows[1:]]
+        if not path:
+            tries[rows] = t
+            continue
+        node = tries.setdefault(rows, {})
+        for x in path[:-1]:
+            node = node.setdefault(x, {})
+        node[path[-1]] = t
+    # per row r: (column's nodes by row, its support row before r, c[r] over
+    # its leading entry, its leading row); per column: what the yield reads
+    checks, ends = [[] for _ in range(s)], []
     for c in zip(*cols):
-        pattern = tuple(x != 0 for x in c)
-        cand = [t for t, pat in enumerate(patterns) if pat == pattern]
-        if not cand:  # a zero pattern no target has: nothing matches
-            tick(total)
+        rows = tuple(r for r in range(s) if c[r])
+        if rows not in tries:  # a zero pattern no target has: nothing matches
             return
-        rows = [r for r in range(s) if c[r]]
-        lead = c[rows[0]]
-        others = [(r, c[r] * inv[lead] % p) for r in rows[1:]]
-        plan.append((np.array(cand), rows[0], lead, others))
-    inv, t_lead_inv = np.array(inv, dtype=dtype), np.array(t_lead_inv, dtype=dtype)
+        nodes = [None] * s
+        nodes[rows[0]] = tries[rows]
+        for prev, r in zip(rows, rows[1:]):
+            checks[r].append((nodes, prev, c[r] * inv[c[rows[0]]] % p, rows[0]))
+        ends.append((nodes, rows[-1], rows[0], c[rows[0]]))
 
-    for start in range(0, total, _WORD_CHUNK):
-        stop = min(total, start + _WORD_CHUNK)
-        tick(stop - start)
-        v = np.ones((stop - start, s), dtype=dtype)
-        v_inv = np.ones((stop - start, s), dtype=dtype)
-        idx = np.arange(start, stop)
-        for r in range(s - 1, 0, -1):  # the last coordinate varies fastest
-            idx, digit = np.divmod(idx, p - 1)
-            v[:, r] += digit.astype(dtype)
-            v_inv[:, r] = inv[digit + 1]
-        picks = []  # per column so far: matched target and scale of each row left
-        for cand, r0, lead, rows in plan:
-            w = v_inv[:, r0]
-            hit = np.ones((len(v), len(cand)), dtype=bool)
-            for r, x in rows:
-                hit &= (v[:, r] * x % p * w % p)[:, None] == t_norm[r, cand]
-            keep = hit.any(axis=1)
-            v, v_inv, hit = v[keep], v_inv[keep], hit[keep]
-            picks = [(m[keep], sc[keep]) for m, sc in picks]
-            if not len(v):
+    v, r = [1] + [0] * (s - 1), 1
+    tick(1)
+    while r:  # v[:r] is fixed and every prefix up to row r - 1 matches
+        if r == s:
+            match = [nodes[last] for nodes, last, _, _ in ends]
+            scale = [
+                v[r0] * c0 * inv[t_lead[t]] % p for (_, _, r0, c0), t in zip(ends, match)
+            ]
+            yield tuple(v), match, scale
+            r -= 1
+            continue
+        v[r] += 1
+        if v[r] == p:
+            v[r], r = 0, r - 1
+            continue
+        tick(1)
+        for nodes, prev, x, r0 in checks[r]:
+            child = nodes[prev].get(v[r] * x * inv[v[r0]] % p)
+            if child is None:
                 break
-            m = cand[np.nonzero(hit)[1]]  # one hit per row: the targets differ
-            picks.append((m, v[:, r0] * lead % p * t_lead_inv[m] % p))
+            nodes[r] = child
         else:
-            picks = [(m.tolist(), sc.tolist()) for m, sc in picks]
-            for i, row in enumerate(v.tolist()):
-                yield tuple(row), [m[i] for m, _ in picks], [sc[i] for _, sc in picks]
+            r += 1
 
 
 # ---------------------------------------------------------------------------

@@ -53,56 +53,48 @@ def brute_maut(
 
 def brute_normalizer(H: PermGroup, budget: OracleBudget = OracleBudget()) -> PermGroup:
     """The normaliser of H in the symmetric group on its degree n points,
-    by testing every element."""
+    generated by every element of brute_normalizer_elements, in its order,
+    that the elements taken before it do not already generate."""
     n = H.degree
-    if factorial(n) > budget.max_elements:
-        raise BudgetExceeded(f"S_{n} has {factorial(n)} elements")
-    elements = {g.images for g in H.elements(limit=budget.max_elements)}
     found: list[Permutation] = []
     grp = PermGroup.trivial(n)
-    for imgs in itertools.permutations(range(1, n + 1)):
-        sigma = Permutation(imgs)
-        if all(x.conj(sigma).images in elements for x in H.generators):
-            if not grp.contains(sigma):
-                found.append(sigma)
-                grp = PermGroup.from_gens(n, found)
+    for sigma in brute_normalizer_elements(H, budget):
+        if not grp.contains(sigma):
+            found.append(sigma)
+            grp = PermGroup.from_gens(n, found)
     return grp
 
 
 def brute_normalizer_elements(
     H: PermGroup, budget: OracleBudget = OracleBudget()
 ) -> list[Permutation]:
-    """Every element of the normaliser of H in its symmetric group.
+    """Every element of the normaliser of H in its symmetric group, in
+    lexicographic order of images.
 
-    Same exhaustive test as brute_normalizer (conjugate each generator by
-    every element of S_n and check membership), but the S_n sweep is done
-    in one vectorised pass, so degrees up to 8 stay cheap.
+    Each generator of H is conjugated by every element of S_n and checked
+    for membership in H.  The sweep is vectorised, one chunk of the (n-1)!
+    permutations with the same first image at a time, which bounds its
+    memory and keeps the order.
     """
     import numpy as np
 
     n = H.degree
     if factorial(n) > budget.max_elements:
         raise BudgetExceeded(f"S_{n} has {factorial(n)} elements")
-    elements = {g.images for g in H.elements(limit=budget.max_elements)}
-    keys = {_tuple_key(img, n) for img in elements}
-    perms = np.array(list(itertools.permutations(range(n))), dtype=np.int64)
-    rows = np.arange(perms.shape[0])[:, None]
-    mask = np.ones(perms.shape[0], dtype=bool)
     weights = (n + 1) ** np.arange(n, dtype=np.int64)
-    key_arr = np.fromiter(sorted(keys), dtype=np.int64, count=len(keys))
-    for x in H.generators:
-        ximg = np.array([x.images[i] - 1 for i in range(n)], dtype=np.int64)
-        conj = np.empty_like(perms)
-        conj[rows, perms] = perms[:, ximg]
-        conj_keys = ((conj + 1) * weights).sum(axis=1)
-        mask &= np.isin(conj_keys, key_arr)
-    return [
-        Permutation(tuple(int(x) + 1 for x in row)) for row in perms[mask]
-    ]
-
-
-def _tuple_key(images, n: int) -> int:
-    return sum(x * (n + 1) ** i for i, x in enumerate(images))
+    keys = np.array([g.images for g in H.elements(limit=budget.max_elements)]) @ weights
+    gens = [np.array(x.images, dtype=np.int64) - 1 for x in H.generators]
+    sweep, out = itertools.permutations(range(n)), []
+    for _ in range(n):
+        perms = np.array(list(itertools.islice(sweep, factorial(n - 1))), dtype=np.int64)
+        rows = np.arange(len(perms))[:, None]
+        mask = np.ones(len(perms), dtype=bool)
+        for ximg in gens:
+            conj = np.empty_like(perms)
+            conj[rows, perms] = perms[:, ximg]
+            mask &= np.isin((conj + 1) @ weights, keys)
+        out += [Permutation(tuple(int(x) + 1 for x in row)) for row in perms[mask]]
+    return out
 
 
 def _all_invertible(p: int, s: int):

@@ -562,10 +562,10 @@ class _Search:
     def _limit_depth_node(self, alpha, doms) -> bool:
         """Try the scalings of the assigned pivot images; each one
         determines the whole code image, which either matches the remaining
-        columns bijectively (up to scalars) or dies.  The scalings are
-        tested in numpy steps (gfp.scalings_matching_columns), and each
-        survivor is checked and added here, one node per scaling tried.
-        Returns whether it added an element: the search then jumps back.
+        columns bijectively (up to scalars) or dies.  A backtrack over the
+        coordinates finds them (gfp.scalings_matching_columns), one node per
+        partial scaling; each survivor is checked and added here.  Returns
+        whether it added an element: the search then jumps back.
 
         Scalings v and c.v give the same orbit permutation, and only the
         first v found for each one is kept.  That v is the least of its

@@ -27,7 +27,6 @@ TEST_ONLY = {
     # the brute-force references the acceptance and unit tests compare against
     "brute_canon_rep": "oracle",
     "brute_maut": "oracle",
-    "brute_normalizer_elements": "oracle",
     # acceptance criteria 4 and 5 check results in these terms
     "in_row_space": "row-space membership for a matrix not in standard form",
     "gamma_map": "the exponent-vector image of an overgroup element",

@@ -20,7 +20,6 @@ from symnorm.encode import (
     reduce_equivalent_orbits,
 )
 from symnorm.gfp import (
-    _WORD_CHUNK,
     FpMatrix,
     InvariantViolation,
     column_equiv_classes,
@@ -278,27 +277,28 @@ class TestLdDepthIndex:
                 normalizer_in_sym(grp, p, method)
         assert seen["nodes"] > 300 and seen["singletons"] > 0
 
-    # node and prune counters of cli.compute before the index was added,
-    # but for two depth-limited entries, recorded when the depth-limited
-    # node started to jump back after a find as a leaf does: (2, 20, 6) from
-    # 26 nodes, 9 prune_stabs and 2 prune_stabs_dual, the direct factor from
-    # 131 nodes
+    # node and prune counters of cli.compute before the index was added;
+    # two depth-limited entries were recorded again when the depth-limited
+    # node started to jump back after a find as a leaf does, and the nodes of
+    # every depth-limited entry when it started to find its scalings by a
+    # backtrack over their coordinates, one node per partial scaling (from
+    # 71, 1054, 16429, 24, 48, 40 and 63 nodes, in the order below)
     COUNTERS = {
         (5, 20, 4, "full"): {"nodes": 21, "prune_stabs": 2},
-        (5, 20, 4, "limitdepth"): {"nodes": 71, "prune_stabs": 2},
+        (5, 20, 4, "limitdepth"): {"nodes": 20, "prune_stabs": 2},
         (5, 20, 6, "full"): {"nodes": 45, "prune_alldiff": 1, "prune_stabs": 22,
                              "prune_stabs_dual": 1},
-        (5, 20, 6, "limitdepth"): {"nodes": 1054, "prune_alldiff": 1, "prune_stabs": 22},
+        (5, 20, 6, "limitdepth"): {"nodes": 51, "prune_alldiff": 1, "prune_stabs": 22},
         (5, 20, 8, "full"): {"nodes": 57, "prune_stabs": 35, "prune_stabs_dual": 1},
-        (5, 20, 8, "limitdepth"): {"nodes": 16429, "prune_stabs": 35, "prune_stabs_dual": 1},
+        (5, 20, 8, "limitdepth"): {"nodes": 74, "prune_stabs": 35, "prune_stabs_dual": 1},
         (2, 20, 6, "full"): {"nodes": 48, "prune_stabs": 8, "prune_stabs_dual": 1},
-        (2, 20, 6, "limitdepth"): {"nodes": 24, "prune_stabs": 8, "prune_stabs_dual": 1},
+        (2, 20, 6, "limitdepth"): {"nodes": 34, "prune_stabs": 8, "prune_stabs_dual": 1},
         (3, 20, 6, "full"): {"nodes": 30, "prune_stabs": 8, "prune_stabs_dual": 1},
-        (3, 20, 6, "limitdepth"): {"nodes": 48, "prune_stabs": 8, "prune_stabs_dual": 1},
+        (3, 20, 6, "limitdepth"): {"nodes": 27, "prune_stabs": 8, "prune_stabs_dual": 1},
         (7, 37, 3, "full"): {"nodes": 29},
-        (7, 37, 3, "limitdepth"): {"nodes": 40},
+        (7, 37, 3, "limitdepth"): {"nodes": 17},
         "direct factor full": {"nodes": 62, "prune_minimality": 9},
-        "direct factor limitdepth": {"nodes": 63, "prune_minimality": 7},
+        "direct factor limitdepth": {"nodes": 78, "prune_minimality": 7},
     }
 
     def test_counters(self):
@@ -590,6 +590,40 @@ def reference_scalings(p, cols, targets):
     return out
 
 
+def reference_partial_scalings(p, cols, targets):
+    """How many partial scalings v[:r + 1], r < s, the backtrack tries:
+    v[:1] = (1,), then p - 1 values of v[r] for each v[:r] under which
+    every column, scaled to lead 1 on its rows before r, agrees there with
+    a target of its zero pattern; none when some column's pattern has no
+    target."""
+    s = len(cols)
+    ccols, tcols = list(zip(*cols)), list(zip(*targets))
+
+    def pattern(col):
+        return tuple(x != 0 for x in col)
+
+    if not {pattern(c) for c in ccols} <= {pattern(t) for t in tcols}:
+        return 0
+
+    def prefix_matches(v):
+        r = len(v)
+        return all(
+            any(
+                pattern(t) == pattern(c)
+                and normalized_column([x * y % p for x, y in zip(v, c)], p)
+                == normalized_column(t[:r], p)
+                for t in tcols
+            )
+            for c in ccols
+        )
+
+    return 1 + sum(
+        (p - 1) * prefix_matches((1,) + rest)
+        for r in range(1, s)
+        for rest in itertools.product(range(1, p), repeat=r - 1)
+    )
+
+
 def random_match_problem(rng, p, s, n, f, zero_prob, noise=0.25):
     """n pairwise inequivalent nonzero target columns of length s, and f
     columns, each a scaled target divided entrywise by one hidden scaling
@@ -623,8 +657,9 @@ def run_kernel(p, cols, targets):
 
 
 class TestScalingKernel:
-    """gfp.scalings_matching_columns, which tests the depth-limited node's
-    scalings in numpy, against the Python loop it replaced."""
+    """gfp.scalings_matching_columns, which finds the depth-limited node's
+    scalings by a backtrack over their coordinates, against a loop over
+    every scaling; it ticks once per partial scaling it tries."""
 
     @pytest.mark.parametrize(
         "p,s_max", [(2, 8), (3, 8), (5, 6), (7, 5), (11, 4), (13, 4)]
@@ -643,13 +678,14 @@ class TestScalingKernel:
             )
             out, ticks = run_kernel(p, cols, targets)
             assert out == reference_scalings(p, cols, targets), (cols, targets)
-            assert sum(ticks) == (p - 1) ** (s - 1)
+            assert ticks == [1] * reference_partial_scalings(p, cols, targets)
+            assert len(ticks) <= sum((p - 1) ** r for r in range(s))
             matched += bool(out)
         assert 5 <= matched <= 20
 
-    def test_more_scalings_than_one_chunk(self):
-        # p = 11, s = 6: 10^5 scalings in 13 steps; the columns below fix
-        # v[3] / v[2], v[4] and v[5], so 100 of them survive
+    def test_many_scalings_survive(self):
+        # p = 11, s = 6: of 10^5 scalings, the columns below fix v[3] / v[2],
+        # v[4] and v[5], so 100 of them survive
         p = 11
         tcols = [(1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 1, 2, 0, 0),
                  (1, 0, 0, 0, 3, 4), (0, 0, 0, 0, 0, 5)]
@@ -660,11 +696,12 @@ class TestScalingKernel:
         ]
         cols, targets = [list(r) for r in zip(*cols)], [list(r) for r in zip(*tcols)]
         out, ticks = run_kernel(p, cols, targets)
-        assert ticks == [_WORD_CHUNK] * 12 + [10**5 - 12 * _WORD_CHUNK]
         assert len(out) == 100
         assert out == reference_scalings(p, cols, targets)
-        index = [int("".join(str(x - 1) for x in v[1:]), p - 1) for v, _, _ in out]
-        assert len({i // _WORD_CHUNK for i in index}) == 13  # survivors in every step
+        assert ticks == [1] * reference_partial_scalings(p, cols, targets)
+        # v[1] and v[2] run free, and each fixed coordinate after them
+        # tries p - 1 values for each of the 100 survivors
+        assert len(ticks) == 1 + 10 + 100 + 3 * 1000
 
     def test_p2_long_columns(self):
         # p = 2, s = 70: the targets differ only below row 64, where a
@@ -678,7 +715,7 @@ class TestScalingKernel:
         cols = [[row[t] for t in order] for row in targets]
         out, ticks = run_kernel(2, cols, targets)
         assert out == [((1,) * s, order, [1] * 4)] == reference_scalings(2, cols, targets)
-        assert ticks == [1]
+        assert ticks == [1] * s == [1] * reference_partial_scalings(2, cols, targets)
         cols[-1][0] ^= 1  # now a column no target has
         assert run_kernel(2, cols, targets)[0] == []
 
@@ -689,10 +726,10 @@ class TestScalingKernel:
         with pytest.raises(SearchTimeout):
             normalizer_in_sym(grp, 11, "limitdepth", SearchConfig(time_limit=0))
 
-    def test_deadline_stops_node_between_steps(self, monkeypatch):
+    def test_deadline_stops_node_between_partial_scalings(self, monkeypatch):
         # a fake monotonic clock that advances one second per reading; the
-        # search ticks once per node above the depth limit and once per step
-        # of scalings within it
+        # search ticks, and so reads it, once per node above the depth limit
+        # and once per partial scaling within it
         clock = SimpleNamespace(now=0.0, reads=[])
 
         def monotonic():
@@ -700,33 +737,32 @@ class TestScalingKernel:
             clock.reads.append(clock.now)
             return clock.now
 
-        fake_time = SimpleNamespace(monotonic=monotonic)
-        monkeypatch.setattr(search_module, "time", fake_time)
-        ticks = []
-        real_tick = search_module._Search._tick
+        monkeypatch.setattr(search_module, "time", SimpleNamespace(monotonic=monotonic))
+        scaling_reads = []  # the reading each partial scaling's tick makes
+        real_kernel = search_module.scalings_matching_columns
 
-        def recording_tick(self, count=1):
-            ticks.append((count, clock.now + 1.0))  # the reading this tick makes
-            real_tick(self, count)
+        def kernel(p, cols, targets, tick):
+            def scaling_tick(count):
+                scaling_reads.append(clock.now + 1.0)
+                tick(count)
 
-        monkeypatch.setattr(search_module._Search, "_tick", recording_tick)
-        inst = build_instance(gen_instance(11, 7, 6, 0)[0], 11)  # one node of 10^5
+            return real_kernel(p, cols, targets, scaling_tick)
+
+        monkeypatch.setattr(search_module, "scalings_matching_columns", kernel)
+        inst = build_instance(gen_instance(11, 7, 6, 0)[0], 11)
         res = limit_depth_search(inst, SearchConfig(time_limit=1e9))
-        assert res.stats["depth_nodes"] == 1
-        steps = [i for i, (count, _) in enumerate(ticks) if count > 1]
-        assert len(steps) == 13
-        full_ticks, start = list(ticks), clock.reads[0]  # the deadline's base
+        assert res.stats["depth_nodes"] == 1 and len(scaling_reads) > 3
+        full_reads, full_scalings = list(clock.reads), list(scaling_reads)
 
         # the same search again, with the deadline just before the reading
-        # of the node's third step: two steps run, the third is never built
-        third = steps[2]
+        # of the node's third partial scaling: two run, the third raises
         clock.now, clock.reads = 0.0, []
-        ticks.clear()
-        limit = full_ticks[third][1] - start - 0.5
+        scaling_reads.clear()
+        limit = full_scalings[2] - full_reads[0] - 0.5  # the deadline's base
         with pytest.raises(SearchTimeout):
             limit_depth_search(inst, SearchConfig(time_limit=limit))
-        assert ticks == full_ticks[: third + 1]
-        assert ticks[-1][0] == _WORD_CHUNK
+        assert scaling_reads == full_scalings[:3]
+        assert clock.reads == full_reads[: full_reads.index(full_scalings[2]) + 1]
 
 
 class TestPruningSafety:
@@ -827,7 +863,7 @@ KNOWN_FAMILIES = [
     *[(f"repetition {p},{k}", p, repetition_rows(k), p**k * (p - 1) * math.factorial(k))
       for p, k in [(3, 8), (5, 6), (2, 10), (37, 7)]],
     *[(f"sum-zero {p},{k}", p, sum_zero_rows(k), p**k * (p - 1) * math.factorial(k))
-      for p, k in [(3, 8), (5, 6), (2, 10)]],
+      for p, k in [(3, 8), (5, 6), (2, 10), (7, 12), (37, 7)]],
     # binary simplex codes: 2^k |GL(m, 2)|, k = 2^m - 1
     *[(f"simplex {m}", 2, simplex_rows(m), 2 ** (2**m - 1) * gl2_order(m))
       for m in (2, 3, 4, 5)],
@@ -848,6 +884,9 @@ class TestKnownOrderFamilies:
         for method in ("full", "limitdepth"):
             res = normalizer_in_sym(grp, p, method)
             assert res.order == order
+            # the depth node of sum-zero 7,12 and 37,7 has (p - 1)^(k - 2) =
+            # 60,466,176 scalings, each one a node when all were tried
+            assert res.stats["nodes"] < 1000
         assert res.order == sympy_order(res.generators)
 
 
