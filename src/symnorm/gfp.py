@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from math import isqrt
+from math import comb, isqrt
 
 import numpy as np
 
@@ -328,8 +328,9 @@ class WeightEnumerator:
     counts: tuple[int, ...]
 
 
-# words built per numpy step in min_weight_vectors, and entries of a one-hot
-# or product block per step in weight_enumerator
+# words built per numpy step in min_weight_vectors, which seeks information
+# sets beyond the pivot columns only when those alone may build more words;
+# entries of a one-hot or product block per step in weight_enumerator
 _WORD_CHUNK, _BLOCK_ENTRIES = 1 << 13, 1 << 18
 
 
@@ -345,33 +346,78 @@ def _coefficient_grid(p: int, r: int) -> tuple[np.ndarray, np.ndarray]:
     return grid, leading_one
 
 
+def _information_sets(mstd: FpMatrix) -> list[tuple[tuple[int, ...], np.ndarray]]:
+    """The m disjoint information sets (0-based columns) min_weight_vectors
+    enumerates on, each with the generator matrix that is the identity on it.
+
+    The first is the pivot columns, with mstd.  Further sets are picked
+    greedily, in column order, from the columns still unused, until those
+    have rank below s.  With b the least row weight of mstd, m sets build at
+    most m * sum_{r <= min(s, b // m)} C(s, r) (p - 1)^(r - 1) words.  m is
+    1 when that count for m = 1 is at most _WORD_CHUNK (no other set is
+    sought), and otherwise the m with the least count, the least such m on a
+    tie.
+    """
+    p, s, k = mstd.p, mstd.s, mstd.k
+    b = min(k - r.count(0) for r in mstd.rows)
+
+    def word_count(m: int) -> int:
+        return m * sum(comb(s, r) * (p - 1) ** (r - 1) for r in range(1, min(s, b // m) + 1))
+
+    sets = [(tuple(range(s)), np.array(mstd.rows, dtype=np.int64))]
+    if word_count(1) <= _WORD_CHUNK:
+        return sets
+    free = list(range(s, k))
+    while len(free) >= s:
+        order = free + [j for j in range(k) if j not in free]
+        res = rref_standard(mstd.permute_columns(tuple(j + 1 for j in order)))
+        if res.pivots[-1] > len(free):
+            break
+        gen = np.empty((s, k), dtype=np.int64)
+        gen[:, order] = res.mstd.rows
+        cols = tuple(order[q - 1] for q in res.pivots)
+        sets.append((cols, gen))
+        free = [j for j in free if j not in cols]
+    return sets[: min(range(1, len(sets) + 1), key=word_count)]
+
+
 def min_weight_vectors(mstd: FpMatrix) -> tuple[int, tuple[int, ...]]:
     """The minimum weight d of the code and its column incidence:
     incidence[j] is the number of weight-d codewords nonzero at column j+1.
 
     Words v and c.v have the same support, so one word per scalar class is
     enumerated (coefficient vectors whose first nonzero entry is 1) and the
-    counts are multiplied by p - 1.  In standard form a word with r nonzero
-    coefficients weighs at least r, so words with r + 1 of them are built,
-    each as a word with r plus one scaled row, only while r + 1 is at most
-    the least weight seen so far.  The extension runs depth first in steps
-    of at most _WORD_CHUNK words, which bounds its temporaries.
+    counts are multiplied by p - 1.  The words are enumerated on m generator
+    matrices, each the identity on one of m disjoint information sets
+    (Brouwer-Zimmermann; _information_sets picks them and m).  A word with
+    r nonzero coefficients on such a matrix has r nonzeros on its set, so a
+    word not built with at most r on any of the m sets weighs at least
+    m (r + 1): words with r + 1 coefficients are built, each as a word with
+    r plus one scaled row, only while m (r + 1) is at most the least weight
+    seen so far.  A word of that weight counts toward the incidence only on
+    the set where it has the fewest nonzeros, the first such set on a tie,
+    so each is counted once.  m = 1 is the plain enumeration on mstd.  The
+    extension runs depth first in steps of at most _WORD_CHUNK words, which
+    bounds its temporaries.
     """
     if not mstd.is_standard():
         raise ValueError("matrix is not in standard form")
     if mstd.s < 1:
         raise ValueError("empty code")
     p, s, k = mstd.p, mstd.s, mstd.k
+    sets = _information_sets(mstd)
+    m = len(sets)
+    member = np.zeros((k, m), dtype=np.int64)  # member[j, i]: column j in set i
+    for i, (cols, _) in enumerate(sets):
+        member[cols, i] = 1
     dtype = np.min_scalar_type(2 * p - 2)  # holds a sum before its reduction
-    rows = np.array(mstd.rows, dtype=np.int64)
-    # scaled[i, c - 1] = c * row i
-    scaled = (np.arange(1, p)[None, :, None] * rows[:, None, :] % p).astype(dtype)
     step = max(1, _WORD_CHUNK // (p - 1))  # pairs per step, p - 1 words each
     best = k + 1
     incidence = np.zeros(k, dtype=np.int64)
 
-    def extend(words: np.ndarray, last: np.ndarray, r: int) -> None:
-        # words: r nonzero coefficients, the last one on row last[i]
+    def extend(i: int, scaled: np.ndarray, words: np.ndarray, last: np.ndarray, r: int):
+        # words: r nonzero coefficients on set i's matrix, the last one of
+        # word w on row last[w]; scaled[row, c - 1] = c * row of that matrix
         nonlocal best, incidence
         weights = np.count_nonzero(words, axis=1)
         wmin = int(weights.min())
@@ -379,18 +425,23 @@ def min_weight_vectors(mstd: FpMatrix) -> tuple[int, tuple[int, ...]]:
             best = wmin
             incidence = np.zeros(k, dtype=np.int64)
         if wmin == best:
-            incidence += np.count_nonzero(words[weights == best], axis=0)
-        if r >= best:
+            hits = words[weights == best]
+            if m > 1:
+                hits = hits[((hits != 0) @ member).argmin(axis=1) == i]
+            incidence += np.count_nonzero(hits, axis=0)
+        if m * (r + 1) > best:
             return
         # (word, row) pairs: each word takes every row after its last one
         word, row = np.nonzero(last[:, None] < np.arange(s))
         for start in range(0, len(word), step):
-            w, i = word[start : start + step], row[start : start + step]
-            grown = words[w][:, None, :] + scaled[i]
+            w, j = word[start : start + step], row[start : start + step]
+            grown = words[w][:, None, :] + scaled[j]
             grown = np.where(grown >= p, grown - p, grown)
-            extend(grown.reshape(-1, k), np.repeat(i, p - 1), r + 1)
+            extend(i, scaled, grown.reshape(-1, k), np.repeat(j, p - 1), r + 1)
 
-    extend(scaled[:, 0], np.arange(s), 1)
+    for i, (_, gen) in enumerate(sets):
+        scaled = (np.arange(1, p)[None, :, None] * gen[:, None, :] % p).astype(dtype)
+        extend(i, scaled, scaled[:, 0], np.arange(s), 1)
     return best, tuple(int(x) * (p - 1) for x in incidence)
 
 

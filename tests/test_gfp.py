@@ -1,10 +1,13 @@
 import itertools
+import math
 import random
 
 import numpy as np
 import pytest
 
 from symnorm import gfp
+from symnorm.cli import gen_instance
+from symnorm.encode import build_instance
 from symnorm.gfp import (
     FpMatrix,
     PrimeField,
@@ -261,6 +264,32 @@ def brute_incidence(p, rows):
     return d, tuple(int(x) for x in incidence)
 
 
+def standard_rows(rng, p, s, k):
+    """Rows of a random standard-form generator matrix (I_s | M0)."""
+    return [
+        [int(i == j) for j in range(s)] + [rng.randrange(p) for _ in range(k - s)]
+        for i in range(s)
+    ]
+
+
+def single_set_count(mat):
+    """The words the pivot columns alone may take: one per scalar class with
+    at most min(s, b) nonzero coefficients, b the least row weight."""
+    p, s = mat.p, mat.s
+    b = min(sum(1 for x in r if x) for r in mat.rows)
+    return sum(math.comb(s, r) * (p - 1) ** (r - 1) for r in range(1, min(s, b) + 1))
+
+
+def assert_information_sets(mat, sets):
+    """Disjoint column sets, each with a generator matrix of the code that
+    is the identity on it, the pivot columns and mat first."""
+    assert sets[0][0] == tuple(range(mat.s))
+    assert len({j for cols, _ in sets for j in cols}) == mat.s * len(sets)
+    for cols, gen in sets:
+        assert (gen[:, list(cols)] == np.eye(mat.s, dtype=np.int64)).all()
+        assert all(member_row_space(tuple(int(x) for x in r), mat) for r in gen)
+
+
 class TestMinWeight:
     def test_binary_example(self):
         m, inc = min_weight_vectors(M(2, [[1, 0, 1], [0, 1, 1]]))
@@ -332,6 +361,122 @@ class TestMinWeight:
             assert min_weight_vectors(M(p, rows)) == expect, (p, rows)
             cut += expect[0] < len(rows)
         assert cut >= 3
+
+    @pytest.mark.parametrize(
+        "p, s, k, m", [(5, 8, 20, 2), (11, 6, 20, 3), (2, 14, 32, 2), (3, 9, 27, 3)]
+    )
+    def test_several_information_sets(self, p, s, k, m):
+        rows = standard_rows(random.Random(1), p, s, k)
+        mat = M(p, rows)
+        sets = gfp._information_sets(mat)
+        assert len(sets) == m
+        assert_information_sets(mat, sets)
+        d, incidence = min_weight_vectors(mat)
+        assert (d, incidence) == brute_incidence(p, rows)
+        # every nonzero word is nonzero somewhere on each of the m disjoint
+        # information sets, so d < m cannot occur
+        assert d >= m
+
+    @pytest.mark.parametrize("p, k, dim", [(5, 20, 8), (11, 20, 6)])
+    def test_workload_codes(self, p, k, dim):
+        mat = build_instance(gen_instance(p, k, dim, 0)[0], p).matrix
+        assert len(gfp._information_sets(mat)) > 1
+        assert min_weight_vectors(mat) == brute_incidence(p, mat.rows)
+
+    def test_greedy_sets_skip_dependent_columns(self):
+        # a zero column among the second set's columns: the second set skips
+        # it, and the third set is taken from what the second left
+        rows = standard_rows(random.Random(1), 3, 9, 27)
+        rows = [r[:10] + [0] + r[10:] for r in rows]
+        mat = M(3, rows)
+        sets = gfp._information_sets(mat)
+        assert [cols for cols, _ in sets] == [
+            tuple(range(9)), (9, *range(11, 19)), tuple(range(19, 28))
+        ]
+        assert_information_sets(mat, sets)
+        assert min_weight_vectors(mat) == brute_incidence(3, rows)
+
+    def test_one_information_set(self, monkeypatch):
+        # a code the pivot columns alone enumerate in one step (40 words):
+        # no other set is sought, though two sets would build 2 * 16
+        small = M(3, standard_rows(random.Random(1), 3, 4, 12))
+        assert single_set_count(small) == 40 <= gfp._WORD_CHUNK
+        assert len(gfp._information_sets(small)) == 1
+        with monkeypatch.context() as patch:
+            patch.setattr(gfp, "_WORD_CHUNK", 0)
+            assert len(gfp._information_sets(small)) == 2
+        rng = random.Random(6)
+        # k < 2s: no room for a second set
+        short = [
+            [int(i == j) for j in range(8)] + [rng.randrange(1, 5) for _ in range(6)]
+            for i in range(8)
+        ]
+        # after the pivots, seven columns with no zero entry, two of them
+        # again up to scaling, and three zero columns: rank 7 = s - 1
+        base = [[rng.randrange(1, 5) for _ in range(8)] for _ in range(7)]
+        scalars = [rng.randrange(1, 5) for _ in range(9)]
+        tail = [[c * a % 5 for c in col] for col, a in zip(base + base[:2], scalars)]
+        tail += [[0] * 8] * 3
+        assert matrix_rank(M(5, base)) == 7
+        repeated = [[int(i == j) for j in range(8)] + [col[i] for col in tail] for i in range(8)]
+        for rows in (short, repeated):
+            mat = M(5, rows)
+            assert single_set_count(mat) > gfp._WORD_CHUNK  # a second set is sought
+            assert len(gfp._information_sets(mat)) == 1
+            assert min_weight_vectors(mat) == brute_incidence(5, rows)
+
+    def test_tied_words_count_once(self):
+        # [I | D | T] over F_5 with D diagonal: every word has as many
+        # nonzeros on columns 9-16, the second set, as on the pivots, so each
+        # minimum-weight word is built on both sets and counts on the first
+        rng = random.Random(7)
+        rows = [
+            [int(i == j) for j in range(8)]
+            + [rng.randrange(1, 5) * (i == j) for j in range(8)]
+            + [rng.randrange(1, 5) for _ in range(4)]
+            for i in range(8)
+        ]
+        mat = M(5, rows)
+        sets = gfp._information_sets(mat)
+        assert [cols for cols, _ in sets] == [tuple(range(8)), tuple(range(8, 16))]
+        assert_information_sets(mat, sets)
+        assert min_weight_vectors(mat) == brute_incidence(5, rows)
+
+    def test_fewest_words_choose_m(self):
+        # [I | D | D] over F_13 with D diagonal: three disjoint sets
+        # exist, but with b = 3 two sets build 2 * 8 words and three 3 * 8.
+        # The minimum-weight words are the rows times scalars, d = 3, each
+        # nonzero on one column of each set
+        p, rng = 13, random.Random(13)
+        rows = [
+            [int(i == j) for j in range(8)]
+            + [rng.randrange(1, p) * (i == j) for j in range(8)] * 2
+            for i in range(8)
+        ]
+        mat = M(p, rows)
+        assert single_set_count(mat) > gfp._WORD_CHUNK
+        sets = gfp._information_sets(mat)
+        assert [cols for cols, _ in sets] == [tuple(range(8)), tuple(range(8, 16))]
+        assert_information_sets(mat, sets)
+        assert min_weight_vectors(mat) == (3, (p - 1,) * 24)
+
+    def test_weight_equal_to_the_number_of_sets(self):
+        # [I | D] over F_307 with D diagonal, a zero column among D's: the
+        # least weight is d = 2 = m, each minimum-weight word (a row times a
+        # scalar) ties on both sets, and only the rows are built.  p^s is
+        # far beyond brute force, but the incidence is p - 1 per nonzero
+        # column
+        p, rng = 307, random.Random(11)
+        diag = [[rng.randrange(1, p) * (i == j) for j in range(8)] for i in range(8)]
+        rows = [
+            [int(i == j) for j in range(8)] + d[:3] + [0] + d[3:] for i, d in enumerate(diag)
+        ]
+        mat = M(p, rows)
+        assert single_set_count(mat) > gfp._WORD_CHUNK
+        sets = gfp._information_sets(mat)
+        assert [cols for cols, _ in sets] == [tuple(range(8)), (8, 9, 10, *range(12, 17))]
+        assert_information_sets(mat, sets)
+        assert min_weight_vectors(mat) == (2, (p - 1,) * 11 + (0,) + (p - 1,) * 5)
 
     def test_rejects_non_standard_and_empty_code(self):
         with pytest.raises(ValueError, match="standard form"):
