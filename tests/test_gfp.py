@@ -377,6 +377,18 @@ class TestMinWeight:
         # information sets, so d < m cannot occur
         assert d >= m
 
+    @pytest.mark.parametrize("chunk", [1, 3, 40])
+    @pytest.mark.parametrize("p, s, k", [(5, 8, 20), (3, 9, 27)])
+    def test_levels_kept_and_rebuilt(self, monkeypatch, p, s, k, chunk):
+        # a pass per level resumes from the last level's words while they
+        # number at most s * _WORD_CHUNK and rebuilds them beyond: with one
+        # word pair per step only the rows are kept, with 40 the first two
+        # or three levels, each in many blocks
+        rows = standard_rows(random.Random(1), p, s, k)
+        expect = brute_incidence(p, rows)
+        monkeypatch.setattr(gfp, "_WORD_CHUNK", chunk)
+        assert min_weight_vectors(M(p, rows)) == expect
+
     @pytest.mark.parametrize("p, k, dim", [(5, 20, 8), (11, 20, 6)])
     def test_workload_codes(self, p, k, dim):
         mat = build_instance(gen_instance(p, k, dim, 0)[0], p).matrix
@@ -418,7 +430,9 @@ class TestMinWeight:
         tail = [[c * a % 5 for c in col] for col, a in zip(base + base[:2], scalars)]
         tail += [[0] * 8] * 3
         assert matrix_rank(M(5, base)) == 7
-        repeated = [[int(i == j) for j in range(8)] + [col[i] for col in tail] for i in range(8)]
+        repeated = [
+            [int(i == j) for j in range(8)] + [col[i] for col in tail] for i in range(8)
+        ]
         for rows in (short, repeated):
             mat = M(5, rows)
             assert single_set_count(mat) > gfp._WORD_CHUNK  # a second set is sought
@@ -469,12 +483,15 @@ class TestMinWeight:
         p, rng = 307, random.Random(11)
         diag = [[rng.randrange(1, p) * (i == j) for j in range(8)] for i in range(8)]
         rows = [
-            [int(i == j) for j in range(8)] + d[:3] + [0] + d[3:] for i, d in enumerate(diag)
+            [int(i == j) for j in range(8)] + d[:3] + [0] + d[3:]
+            for i, d in enumerate(diag)
         ]
         mat = M(p, rows)
         assert single_set_count(mat) > gfp._WORD_CHUNK
         sets = gfp._information_sets(mat)
-        assert [cols for cols, _ in sets] == [tuple(range(8)), (8, 9, 10, *range(12, 17))]
+        assert [cols for cols, _ in sets] == [
+            tuple(range(8)), (8, 9, 10, *range(12, 17))
+        ]
         assert_information_sets(mat, sets)
         assert min_weight_vectors(mat) == (2, (p - 1,) * 11 + (0,) + (p - 1,) * 5)
 
