@@ -397,14 +397,11 @@ def min_weight_vectors(mstd: FpMatrix) -> tuple[int, tuple[int, ...]]:
     r plus one scaled row, only while m (r + 1) is at most the least weight
     seen so far.  A word of that weight counts toward the incidence only on
     the set where it has the fewest nonzeros, the first such set on a tie,
-    so each is counted once.  m = 1 is the plain enumeration on mstd, in one
-    depth-first pass.  With m > 1 a pass per level r builds the words with
-    r coefficients on every set in turn, so the least weight any set finds
-    bounds the level of all of them.  A pass grows each set's words of the
-    level before, kept while they number at most s * _WORD_CHUNK (what the
-    s levels of one pass may hold), and otherwise rebuilds them from the
-    rows without counting them again.  The extension runs depth first in
-    steps of at most _WORD_CHUNK words, which bounds its temporaries.
+    so each is counted once.  The sets are enumerated one after the other,
+    each in one depth-first pass, and the least weight seen on the sets
+    before bounds the levels of the next; m = 1 is the plain enumeration on
+    mstd.  The extension runs in steps of at most _WORD_CHUNK words, which
+    bounds its temporaries.
     """
     if not mstd.is_standard():
         raise ValueError("matrix is not in standard form")
@@ -413,65 +410,40 @@ def min_weight_vectors(mstd: FpMatrix) -> tuple[int, tuple[int, ...]]:
     p, s, k = mstd.p, mstd.s, mstd.k
     sets = _information_sets(mstd)
     m = len(sets)
-    if m > 1:
-        member = np.zeros((k, m), dtype=np.int64)  # member[j, i]: column j in set i
-        for i, (cols, _) in enumerate(sets):
-            member[cols, i] = 1
+    member = np.zeros((k, m), dtype=np.int64)  # member[j, i]: column j in set i
+    for i, (cols, _) in enumerate(sets):
+        member[cols, i] = 1
     dtype = np.min_scalar_type(2 * p - 2)  # holds a sum before its reduction
-    # scaled[i][row, c - 1] = c * row of set i's matrix
-    coeffs = np.arange(1, p)[None, :, None]
-    scaled = [(coeffs * g[:, None, :] % p).astype(dtype) for _, g in sets]
     step = max(1, _WORD_CHUNK // (p - 1))  # pairs per step, p - 1 words each
     best = k + 1
     incidence = np.zeros(k, dtype=np.int64)
 
-    def extend(i: int, words: np.ndarray, last: np.ndarray, r: int) -> None:
+    def extend(i: int, scaled: np.ndarray, words: np.ndarray, last: np.ndarray, r: int):
         # words: r nonzero coefficients on set i's matrix, the last one of
-        # word w on row last[w]; the pass counts the levels above `done` and
-        # builds up to `top`
+        # word w on row last[w]; scaled[row, c - 1] = c * row of that matrix
         nonlocal best, incidence
-        if r > done:
-            weights = np.count_nonzero(words, axis=1)
-            wmin = int(weights.min())
-            if wmin < best:
-                best = wmin
-                incidence = np.zeros(k, dtype=np.int64)
-            if wmin == best:
-                hits = words[weights == best]
-                if m > 1:
-                    hits = hits[((hits != 0) @ member).argmin(axis=1) == i]
-                incidence += np.count_nonzero(hits, axis=0)
-        if r == top:
-            if kept[i] is not None:
-                kept[i].append((words, last))
-                if sum(len(w) for w, _ in kept[i]) > s * _WORD_CHUNK:
-                    kept[i] = None
-            return
+        weights = np.count_nonzero(words, axis=1)
+        wmin = int(weights.min())
+        if wmin < best:
+            best = wmin
+            incidence = np.zeros(k, dtype=np.int64)
+        if wmin == best:
+            hits = words[weights == best]
+            hits = hits[((hits != 0) @ member).argmin(axis=1) == i]
+            incidence += np.count_nonzero(hits, axis=0)
         if m * (r + 1) > best:
             return
         # (word, row) pairs: each word takes every row after its last one
         word, row = np.nonzero(last[:, None] < np.arange(s))
         for start in range(0, len(word), step):
             w, j = word[start : start + step], row[start : start + step]
-            grown = words[w][:, None, :] + scaled[i][j]
+            grown = words[w][:, None, :] + scaled[j]
             grown = np.where(grown >= p, grown - p, grown)
-            extend(i, grown.reshape(-1, k), np.repeat(j, p - 1), r + 1)
+            extend(i, scaled, grown.reshape(-1, k), np.repeat(j, p - 1), r + 1)
 
-    # kept[i]: the blocks of set i's last level while they hold at most
-    # s * _WORD_CHUNK words, from which the next pass resumes; None: rebuild
-    kept: list[list | None] = [None] * m
-    for top in range(1, s + 1) if m > 1 else (s,):
-        if m * top > best:
-            break
-        done = top - 1 if m > 1 else 0
-        for i in range(m):
-            if kept[i]:
-                roots, r0 = kept[i], top - 1
-            else:
-                roots, r0 = [(scaled[i][:, 0], np.arange(s))], 1
-            kept[i] = [] if m > 1 else None
-            for words, last in roots:
-                extend(i, words, last, r0)
+    for i, (_, gen) in enumerate(sets):
+        scaled = (np.arange(1, p)[None, :, None] * gen[:, None, :] % p).astype(dtype)
+        extend(i, scaled, scaled[:, 0], np.arange(s), 1)
     return best, tuple(int(x) * (p - 1) for x in incidence)
 
 

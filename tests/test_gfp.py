@@ -379,11 +379,10 @@ class TestMinWeight:
 
     @pytest.mark.parametrize("chunk", [1, 3, 40])
     @pytest.mark.parametrize("p, s, k", [(5, 8, 20), (3, 9, 27)])
-    def test_levels_kept_and_rebuilt(self, monkeypatch, p, s, k, chunk):
-        # a pass per level resumes from the last level's words while they
-        # number at most s * _WORD_CHUNK and rebuilds them beyond: with one
-        # word pair per step only the rows are kept, with 40 the first two
-        # or three levels, each in many blocks
+    def test_small_steps(self, monkeypatch, p, s, k, chunk):
+        # steps of one to 40 word pairs split each level of each set into
+        # many extensions, and a least weight found in one step bounds the
+        # steps after it
         rows = standard_rows(random.Random(1), p, s, k)
         expect = brute_incidence(p, rows)
         monkeypatch.setattr(gfp, "_WORD_CHUNK", chunk)
