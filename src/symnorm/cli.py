@@ -267,7 +267,6 @@ def bench(
     for cell in cells:
         times = []
         censored = 0
-        records = []
         for seed in range(trials):
             _, text = gen_instance(
                 cell.p, cell.k, cell.dim, seed, dihedral=cell.dihedral
@@ -276,7 +275,6 @@ def bench(
             rec = compute(
                 text, method="dihedral" if cell.dihedral else method, config=cfg
             )
-            records.append(rec)
             if rec.timed_out:
                 censored += 1
             else:
@@ -288,7 +286,6 @@ def bench(
             "median_s": None,
             "lower_q_s": None,
             "upper_q_s": None,
-            "records": records,
         }
         if times:
             times.sort()
@@ -402,11 +399,7 @@ def main(argv=None) -> int:
                 parse_family(args.family), args.trials, args.timeout, args.method
             )
             if args.json:
-                slim = [
-                    {key: v for key, v in entry.items() if key != "records"}
-                    for entry in table
-                ]
-                print(json.dumps(slim, indent=2))
+                print(json.dumps(table, indent=2))
             else:
                 print(format_bench_table(table))
             return 0

@@ -205,12 +205,12 @@ def normalizer_dihedral(
     induced = [
         Permutation([(g.image(a) + 1) // 2 for a, _ in pairs]) for g in sub2.generators
     ]
-    kappa_group = PermGroup.from_gens(k, induced, known_order=sub2.order >> k)
+    kappa = PermGroup.from_gens(k, induced, known_order=sub2.order >> k)
 
     # rotation normaliser with orbit permutations in kappa
     if cfg.time_limit is not None:
         cfg = replace(cfg, time_limit=cfg.time_limit - (time.monotonic() - started))
-    sub_p = full_search(rot, cfg, kappa_group=kappa_group)
+    sub_p = full_search(rot, cfg, allowed=kappa)
     stats.update({f"rotations_{key}": v for key, v in sub_p.stats.items()})
 
     # lift each generator y = (pi, scale, _) onto the fixed points: the

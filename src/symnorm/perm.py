@@ -185,7 +185,7 @@ class Permutation:
 
     # structure --------------------------------------------------------
 
-    def cycles(self, include_fixed: bool = False) -> list[tuple[int, ...]]:
+    def cycles(self) -> list[tuple[int, ...]]:
         images = self.images
         seen = set()
         out = []
@@ -199,7 +199,7 @@ class Permutation:
                 seen.add(j)
                 cyc.append(j)
                 j = images[j - 1]
-            if len(cyc) > 1 or include_fixed:
+            if len(cyc) > 1:
                 out.append(tuple(cyc))
         return out
 

@@ -47,7 +47,7 @@ from symnorm.gfp import (
     scalings_matching_columns,
     weight_enumerator,
 )
-from symnorm.perm import PermGroup, Permutation, StabChain, orbit_of
+from symnorm.perm import PermGroup, Permutation, StabChain, orbits_of
 
 
 class SearchTimeout(Exception):
@@ -181,12 +181,13 @@ def domains_init(
     inst: InPInstance,
     found: FoundGroup,
     cfg: SearchConfig | None = None,
-    kappa_gate=None,
+    allowed=None,
 ) -> list[set[int]]:
     """Initial candidate images for every orbit, the meet of the invariant
     partitions; equivalent dual orbits also contribute normalising
     elements to the found group as a side effect (their centralising
-    swaps, with the orbit-fixing part inverted)."""
+    swaps, with the orbit-fixing part inverted), those whose orbit
+    permutation the predicate allowed accepts."""
     cfg = cfg or SearchConfig()
     k, p = inst.k, inst.p
     keyparts: list[list] = []
@@ -199,7 +200,7 @@ def domains_init(
         classes, key=lambda c: normalized_column(inst.dual.col(c[0][0]), p)
     ):
         for swap in swaps:
-            if kappa_gate is None or kappa_gate(affine_parts(inst, swap)[0]):
+            if allowed is None or allowed(affine_parts(inst, swap)[0]):
                 found.add(_dual_mirror(inst, swap))
     if cfg.use_dual_partitions:
         class_size = {j: len(cell) for cell, _, _ in classes for j in cell}
@@ -372,17 +373,19 @@ class _Search:
         inst: InPInstance,
         cfg: SearchConfig,
         method: str,
-        kappa_group: PermGroup | None = None,
-        sizes: tuple[int, ...] | None = None,
+        allowed: PermGroup | None = None,
     ):
-        if kappa_group is not None and sizes is not None:
-            raise ValueError("give kappa_group or sizes, not both")
         self.inst = inst
         self.cfg = cfg
         self.method = method
-        self.kappa_group = kappa_group
-        self.sizes = sizes
         self.k, self.s, self.p = inst.k, inst.s, inst.p
+        self.allowed = allowed or young_subgroup((1,) * self.k)
+        # the cells, the orbits of the allowed group; a group of order
+        # prod |cell|! is all of their Young subgroup, which holds exactly
+        # the orbit permutations that keep every cell
+        cells = orbits_of(self.allowed.generators, range(1, self.k + 1))
+        self.cell = {i: cell for cell in map(frozenset, cells) for i in cell}
+        self.young = self.allowed.known_order == prod(factorial(len(c)) for c in cells)
         self.found = FoundGroup(inst)
         self.stats: Counter = Counter()
         self.wcache: dict = {}
@@ -400,13 +403,11 @@ class _Search:
         if self.deadline is not None and time.monotonic() > self.deadline:
             raise SearchTimeout(f"search exceeded {self.cfg.time_limit}s")
 
-    def _kappa_allowed(self, pi: Permutation) -> bool:
-        if self.kappa_group is not None and not self.kappa_group.contains(pi):
-            return False
-        sizes = self.sizes
-        return sizes is None or all(
-            sizes[pi.image(i) - 1] == sizes[i - 1] for i in range(1, self.k + 1)
-        )
+    def _allowed(self, pi: Permutation) -> bool:
+        if not self.young:
+            return self.allowed.contains(pi)
+        cell = self.cell
+        return all(j in cell[i] for i, j in enumerate(pi.images, 1))
 
     def _jump_target(self, alpha) -> int:
         j = 0
@@ -421,13 +422,8 @@ class _Search:
         t0 = time.monotonic()
         if inst.dual.s == 0:
             return self._full_space(t0)
-        doms = domains_init(inst, self.found, cfg, kappa_gate=self._kappa_allowed)
-        if self.kappa_group is not None:
-            for i in range(self.k):
-                doms[i] = doms[i] & orbit_of(i + 1, self.kappa_group.generators)
-        sizes = self.sizes
-        if sizes is not None:
-            doms = [{j for j in d if sizes[j - 1] == n} for d, n in zip(doms, sizes)]
+        doms = domains_init(inst, self.found, cfg, self._allowed)
+        doms = [d & self.cell[i] for i, d in enumerate(doms, 1)]
 
         # the code (pivots 1..s) and its dual (pivots s+1..k), not empty
         # here: both have the monomial automorphisms the search seeks
@@ -455,28 +451,16 @@ class _Search:
 
     def _full_space(self, t0: float) -> NormalizerResult:
         """The code is all of F_p^k, so every allowed orbit permutation
-        normalises: the normaliser is norm_b and the lifts of generators of
-        the allowed group, kappa_group or the Young subgroup of sizes, and
-        its order is p^k (p-1)^c |allowed|."""
-        if self.kappa_group is not None:
-            perms, allowed = self.kappa_group.generators, self.kappa_group.order()
-        else:
-            classes: dict = {}
-            for i, n in enumerate(self.sizes or [1] * self.k, 1):
-                classes.setdefault(n, []).append(i)
-            perms, allowed = [], 1
-            for cls in classes.values():  # a transposition; for m >= 3, an m-cycle
-                allowed *= factorial(len(cls))
-                for cyc in (cls[:2], cls)[: len(cls) - 1]:
-                    perms.append(Permutation.from_cycles(self.k, [tuple(cyc)]))
+        normalises: the normaliser is norm_b and the lifts of the allowed
+        group's generators, and its order is p^k (p-1)^c |allowed|."""
         gens = list(self.found.gens)
-        for pi in perms:
+        for pi in self.allowed.generators:
             gens.append(affine_perm(self.inst, pi))
             self.found.check(gens[-1])
         self._tick(0)
         self.stats["closed_form"] = 1
         self.stats["search_ms"] = int((time.monotonic() - t0) * 1000)
-        order = self.found.order(allowed)
+        order = self.found.order(self.allowed.order())
         return NormalizerResult(tuple(gens), order, dict(self.stats), self.method)
 
     def _recurse(self, alpha, doms, im_stabs):
@@ -544,7 +528,7 @@ class _Search:
     def _leaf(self, alpha):
         self.stats["leaves"] += 1
         pi = Permutation(alpha)
-        if not self._kappa_allowed(pi):
+        if not self._allowed(pi):
             self.stats["leaf_outside_target"] += 1
             return None
         if self.own_rep is None:
@@ -602,7 +586,7 @@ class _Search:
                 continue
             seen_kappas.add(kappa_imgs)
             pi = Permutation(kappa_imgs)
-            if not self._kappa_allowed(pi):
+            if not self._allowed(pi):
                 continue
             self.found.add(affine_perm(inst, pi, diag))
             self.stats["found"] += 1
@@ -614,28 +598,40 @@ class _Search:
 # public entry points
 
 
+def young_subgroup(sizes) -> PermGroup:
+    """The orbit permutations that keep sizes[i - 1] for every orbit i: per
+    class of orbits with equal sizes, in order of first appearance, a
+    transposition and, for m >= 3, the m-cycle, of known order prod m!."""
+    classes: dict = {}
+    for i, n in enumerate(sizes, 1):
+        classes.setdefault(n, []).append(i)
+    k, perms = len(sizes), []
+    for cls in classes.values():
+        for cyc in (cls[:2], cls)[: len(cls) - 1]:
+            perms.append(Permutation.from_cycles(k, [tuple(cyc)]))
+    return PermGroup(k, tuple(perms), prod(factorial(len(c)) for c in classes.values()))
+
+
 def full_search(
-    inst: InPInstance,
-    cfg: SearchConfig | None = None,
-    kappa_group: PermGroup | None = None,
-    sizes: tuple[int, ...] | None = None,
+    inst: InPInstance, cfg: SearchConfig | None = None, allowed: PermGroup | None = None
 ) -> NormalizerResult:
     """Exact normaliser of the instance group inside the symmetric group on
-    its orbits' points, by full-depth backtracking.  kappa_group and sizes
-    limit the orbit permutations: to that group, and to those keeping the
-    size sizes[i] of every orbit i."""
-    return _Search(inst, cfg or SearchConfig(), "full", kappa_group, sizes).run()
+    its orbits' points, by full-depth backtracking, with orbit permutations
+    limited to allowed, a group on the k orbit indices (all of S_k by
+    default).  Each orbit's images lie in its orbit under allowed.  When
+    the known order of allowed is the product of its orbits' factorials,
+    membership is the closed form "keeps every orbit"; otherwise it is a
+    chain sift."""
+    return _Search(inst, cfg or SearchConfig(), "full", allowed).run()
 
 
 def limit_depth_search(
-    inst: InPInstance,
-    cfg: SearchConfig | None = None,
-    kappa_group: PermGroup | None = None,
-    sizes: tuple[int, ...] | None = None,
+    inst: InPInstance, cfg: SearchConfig | None = None, allowed: PermGroup | None = None
 ) -> NormalizerResult:
-    """Same result as full_search, but the tree is cut at the code
-    dimension and completed by enumerating pivot-image scalings."""
-    return _Search(inst, cfg or SearchConfig(), "limitdepth", kappa_group, sizes).run()
+    """Same result as full_search, with the same allowed group, but the
+    tree is cut at the code dimension and completed by enumerating
+    pivot-image scalings."""
+    return _Search(inst, cfg or SearchConfig(), "limitdepth", allowed).run()
 
 
 # ---------------------------------------------------------------------------
@@ -687,12 +683,16 @@ def instance_normalizer(
     normalisers have order p^k times that group's order.  The result is
     the search output lifted through theta, plus the centraliser.
 
+    The search's allowed group is the Young subgroup of the class sizes
+    (young_subgroup): a representative may only go to one whose class has
+    the same size.  Its membership test is the closed form, with no chain.
+
     The order comes from a closed form, not a chain over the result:
     |N| = |N_red| * p^(k - k_red) * prod(m_i!), where N_red is the
-    normaliser found on the k_red class representatives (already limited to
-    moves that keep class sizes) and m_i are the class sizes.  The other
-    copies in a class follow their representative, so each adds only its
-    own cycle, and the copies of a class may be permuted freely.
+    normaliser found on the k_red class representatives and m_i are the
+    class sizes.  The other copies in a class follow their representative,
+    so each adds only its own cycle, and the copies of a class may be
+    permuted freely.
     """
     red = reduce_equivalent_orbits(inst)
     reduced, sizes = red.reduced, red.class_sizes
@@ -707,7 +707,7 @@ def instance_normalizer(
             dual_sizes[target.point_orbit[cyc[0]]] = n
         sizes = tuple(dual_sizes)
     runner = full_search if method == "full" else limit_depth_search
-    sub = runner(target, cfg, sizes=sizes)
+    sub = runner(target, cfg, allowed=young_subgroup(sizes))
     gens, stats = sub.generators, dict(sub.stats)
     if swapped:
         # repeats are left to PermGroup.from_gens below

@@ -324,8 +324,8 @@ class _Kappa(Exception):
 def sign_code_kappa(inst, monkeypatch):
     """The kappa group that normalizer_dihedral hands the rotation search."""
 
-    def stop(rot, cfg, kappa_group):
-        raise _Kappa(kappa_group)
+    def stop(rot, cfg, allowed):
+        raise _Kappa(allowed)
 
     with monkeypatch.context() as patch, pytest.raises(_Kappa) as caught:
         patch.setattr(dihedral_module, "full_search", stop)
@@ -389,8 +389,8 @@ class TestKappa:
         sym = PermGroup.from_gens(k, [P(k, (1, 2)), P(k, tuple(range(1, k + 1)))])
         assert sign_code_kappa(inst, monkeypatch).order() < sym.order()
 
-        def everything(rot, cfg, kappa_group):
-            return search(rot, cfg, kappa_group=sym)
+        def everything(rot, cfg, allowed):
+            return search(rot, cfg, allowed=sym)
 
         monkeypatch.setattr(dihedral_module, "full_search", everything)
         with pytest.raises(InvariantViolation, match="fails to normalise"):

@@ -11,6 +11,8 @@ import symnorm.search as search_module
 from symnorm.cli import gen_instance
 from symnorm.dihedral import build_dihedral, normalizer_dihedral
 from symnorm.encode import (
+    affine_parts,
+    block_perm,
     build_instance,
     code_to_group,
     decompose_bk,
@@ -32,7 +34,7 @@ from symnorm.gfp import (
     scalings_matching_columns,
     weight_enumerator,
 )
-from symnorm.oracle import brute_maut, brute_normalizer
+from symnorm.oracle import brute_maut, brute_normalizer, brute_normalizer_elements
 from symnorm.perm import PermGroup, Permutation, StabChain
 from symnorm.search import (
     FoundGroup,
@@ -1011,10 +1013,91 @@ class TestFullSpace:
         with pytest.raises(InvariantViolation, match="outside the overgroup"):
             full_search(inst)
 
-    def test_kappa_group_and_sizes_exclude_each_other(self):
-        inst = build_instance(PermGroup.from_gens(6, cyclic_power(3, 2)), 3)
-        with pytest.raises(ValueError, match="not both"):
-            full_search(inst, kappa_group=PermGroup.trivial(2), sizes=(1, 1))
+
+def chains_in_searches(monkeypatch) -> tuple[list, list]:
+    """Record the allowed group of every search run, and every
+    PermGroup.chain call made while one runs."""
+    runs, chains = [], []
+    real_run, real_chain = search_module._Search.run, PermGroup.chain
+
+    def run(self):
+        runs.append(self.allowed)
+        try:
+            return real_run(self)
+        finally:
+            runs.append(None)  # the search has returned
+
+    def chain(self):
+        if runs and runs[-1] is not None:
+            chains.append(self)
+        return real_chain(self)
+
+    monkeypatch.setattr(search_module._Search, "run", run)
+    monkeypatch.setattr(PermGroup, "chain", chain)
+    return runs, chains
+
+
+class TestAllowedGroup:
+    """The search's one restriction, a group on the orbit indices: a Young
+    group is tested by the cells it keeps, any other group by a sift."""
+
+    @pytest.mark.parametrize("method", ["full", "limitdepth"])
+    def test_young_builds_no_chain_collapsed(self, monkeypatch, method):
+        # classes of sizes (2, 3, 2, 1, 1): the allowed group swaps the two
+        # representatives of size 2 and the two of size 1, S_2 x S_1 x S_2
+        grp, _ = gen_instance(7, 9, 2, 0)
+        red = reduce_equivalent_orbits(build_instance(grp, 7))
+        assert red.class_sizes == (2, 3, 2, 1, 1)
+        runs, chains = chains_in_searches(monkeypatch)
+        res = normalizer_in_sym(grp, 7, method)
+        assert res.stats["found"] >= 1 and res.stats["nodes"] > 0
+        assert [g.known_order for g in runs if g is not None] == [2 * 1 * 2]
+        assert chains == []
+
+    def test_young_builds_no_chain_dihedral(self, monkeypatch):
+        # orbits 1 and 2 carry the same rotations and reflections (u -> -u
+        # on the blocks of sign patterns (1 1 0) and (0 0 1)): kappa is
+        # S_2 x S_1, and the rotation code (1 1 0), (0 0 1) is not F_3^3, so
+        # the rotation search walks its tree
+        rot = code_to_group(M(3, [[1, 1, 0], [0, 0, 1]])).generators
+        refl = [block_perm(3, scale, [0] * 3) for scale in ([2, 2, 1], [1, 1, 2])]
+        grp = PermGroup.from_gens(9, [*rot, *refl])
+        runs, chains = chains_in_searches(monkeypatch)
+        res = normalizer_dihedral(build_dihedral(grp, 3))
+        assert res.order == 72
+        assert res.stats["rotations_leaves"] >= 1
+        kappa = [g for g in runs if g is not None][-1]
+        assert kappa.known_order == 2
+        assert chains == []
+
+    @pytest.mark.parametrize("method", ["full", "limitdepth"])
+    @pytest.mark.parametrize(
+        "rows,order",
+        [
+            ([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1]], 64),
+            ([[1, 0, 0, 1], [0, 1, 1, 0]], 32),
+            ([[1, 0, 0, 1], [0, 1, 0, 1], [0, 0, 1, 0]], 16),
+            ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]], 64),
+        ],
+    )
+    def test_not_young_matches_brute_force(self, monkeypatch, rows, order, method):
+        # <(1 2 3 4)> is not Young, so membership is a sift; the normalising
+        # elements whose orbit permutation it holds, against brute force
+        grp = code_to_group(M(2, rows))
+        inst = build_instance(grp, 2)
+        cyc4 = PermGroup.from_gens(4, [P(4, (1, 2, 3, 4))])
+        ref = {
+            g
+            for g in brute_normalizer_elements(grp)
+            if cyc4.contains(affine_parts(inst, g)[0])
+        }
+        runs, chains = chains_in_searches(monkeypatch)
+        search = full_search if method == "full" else limit_depth_search
+        res = search(inst, allowed=cyc4)
+        assert res.order == len(ref) == order
+        assert set(PermGroup.from_gens(grp.degree, res.generators).elements()) == ref
+        if "closed_form" not in res.stats:
+            assert chains
 
 
 class TestRecognition:
@@ -1043,7 +1126,7 @@ class TestRecognition:
 
 
 def record_searches(monkeypatch) -> list:
-    """Record (instance, result, kappa_group) for every full_search and
+    """Record (instance, result, allowed) for every full_search and
     limit_depth_search call, the pipelines' own calls included."""
     runs = []
     for name in ("full_search", "limit_depth_search"):
@@ -1051,7 +1134,7 @@ def record_searches(monkeypatch) -> list:
 
         def recording(inst, *args, _real=real, **kwargs):
             res = _real(inst, *args, **kwargs)
-            runs.append((inst, res, kwargs.get("kappa_group")))
+            runs.append((inst, res, kwargs.get("allowed")))
             return res
 
         monkeypatch.setattr(search_module, name, recording)
@@ -1096,7 +1179,8 @@ class TestFoundGroupOrder:
         grp, _ = gen_instance(p, k, dim, seed, dihedral=method == "dihedral")
         if method == "dihedral":
             normalizer_dihedral(build_dihedral(grp, p))
-            assert any(kappa is not None for _, _, kappa in runs)
+            # the rotation search over F_p, restricted to kappa
+            assert any(inst.p == p and kappa is not None for inst, _, kappa in runs)
         else:
             normalizer_in_sym(grp, p, method=method)
         assert runs
